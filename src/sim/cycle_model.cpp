@@ -338,9 +338,10 @@ class LinkSim final : public KernelSim {
       if (remaining_ > 0) {
         --remaining_;
         ++st_.busy;
-        if (remaining_ > 0) return;
+        if (remaining_ == 0) finish_serialization();
+        return;
       }
-      try_deliver();
+      deliver();
       return;
     }
     if (in_.empty()) {
@@ -357,7 +358,7 @@ class LinkSim final : public KernelSim {
     holding_ = taken;
     remaining_ = serialize_cycles(taken) - 1;
     ++st_.busy;
-    if (remaining_ == 0) try_deliver();
+    if (remaining_ == 0) finish_serialization();
   }
 
  private:
@@ -368,8 +369,8 @@ class LinkSim final : public KernelSim {
 
   /// Serialization of the held frame is complete: draw the corruption
   /// fault (once per frame — a corrupted frame re-serializes exactly
-  /// once), then land its pixels as the far FIFO accepts them.
-  void try_deliver() {
+  /// once), then start landing its pixels.
+  void finish_serialization() {
     if (fault_.corrupt_per_million > 0 && !retransmitted_ &&
         rng_.next_below(1'000'000) < fault_.corrupt_per_million) {
       retransmitted_ = true;
@@ -377,6 +378,12 @@ class LinkSim final : public KernelSim {
       remaining_ = serialize_cycles(holding_);
       return;
     }
+    deliver();
+  }
+
+  /// Land the held frame's pixels as the far FIFO accepts them; a full
+  /// far FIFO stalls the link without drawing the fault again.
+  void deliver() {
     while (holding_ > 0) {
       if (out_.full()) {
         ++st_.stall_out;

@@ -255,6 +255,35 @@ TEST(Fault, SimLinkCorruptionRetransmitsDeterministically) {
   EXPECT_EQ(retransmits, retransmits2);
 }
 
+TEST(Fault, SimLinkCorruptionDrawIsOncePerFrame) {
+  // One-pixel frames over a 1-clock link: 288 frames for two 12x12
+  // images. A frame waiting for room at a shallow far FIFO must not draw
+  // the corruption fault again, so the retransmit count cannot depend on
+  // the FIFO depth.
+  const Pipeline p = expand(models::tiny(12, 4, 2));
+  FaultPlan plan;
+  plan.add(FaultPlan::link_corrupt(/*link=*/0, /*per_million=*/200'000));
+  std::vector<std::uint64_t> counts;
+  for (const std::size_t depth : {512, 64, 4}) {
+    SimConfig cfg;
+    cfg.cut_after_nodes = {1};
+    cfg.fifo_depth = depth;
+    apply_link_faults(plan, cfg, /*seed=*/42);
+    const SimResult r = simulate(p, cfg, 2);
+    std::uint64_t retransmits = 0;
+    std::uint64_t frames = 0;
+    for (const KernelStats& k : r.kernels) {
+      retransmits += k.retransmits;
+      if (k.name.rfind("link_", 0) == 0) frames += k.outputs;
+    }
+    EXPECT_EQ(frames, 288u) << "depth " << depth;
+    counts.push_back(retransmits);
+  }
+  EXPECT_GT(counts[0], 0u);
+  EXPECT_EQ(counts[1], counts[0]) << "depth 64 vs 512";
+  EXPECT_EQ(counts[2], counts[0]) << "depth 4 vs 512";
+}
+
 TEST(Fault, ApplyDeratesPartitionLinkCapacity) {
   FaultPlan plan;
   plan.add(FaultPlan::link_drop(/*link=*/1, /*down_from_cycle=*/0,
