@@ -134,7 +134,6 @@ int run_backends() {
   const Pipeline pipeline = expand(spec);
   const NetworkParams params = NetworkParams::random(pipeline, 83);
   SessionConfig session_config;
-  session_config.fast_estimate = true;
   const std::vector<IntTensor> images = synthetic_batch(8, 8, 8, 3, 84);
 
   struct PoolScenario {
@@ -307,7 +306,6 @@ int run_autotune() {
   const Pipeline pipeline = expand(spec);
   const NetworkParams params = NetworkParams::random(pipeline, 80);
   SessionConfig base;
-  base.fast_estimate = true;
   const std::vector<IntTensor> images = synthetic_batch(8, 8, 8, 3, 81);
 
   // Tune FOR the serving regime below: a latency SLO, so calibration runs
@@ -495,7 +493,6 @@ int run_linkfault() {
         make_linked_backend(defaults, kLinkedBackend));
   }
   SessionConfig session_config;
-  session_config.fast_estimate = true;
   const std::vector<IntTensor> images = synthetic_batch(8, 16, 16, 3, 91);
 
   // Both farms live for the whole measurement, windows interleaved
@@ -616,7 +613,6 @@ int run() {
   const Pipeline pipeline = expand(spec);
   const NetworkParams params = NetworkParams::random(pipeline, 80);
   SessionConfig session_config;
-  session_config.fast_estimate = true;
   const std::vector<IntTensor> images = synthetic_batch(8, 8, 8, 3, 81);
 
   constexpr int kClients = 64;

@@ -29,7 +29,6 @@ int main() {
   const Pipeline pipeline = expand(spec);
   const NetworkParams params = NetworkParams::random(pipeline, 1);
   SessionConfig session_config;
-  session_config.fast_estimate = true;
 
   // The outage: replica 0's first registered kernel hangs at step 0 on
   // every run in the window [0, 3] — roughly its first few batches plus

@@ -37,7 +37,6 @@ int main(int argc, char** argv) {
   const Pipeline pipeline = expand(spec);
   const NetworkParams params = NetworkParams::random(pipeline, 1);
   SessionConfig session_config;
-  session_config.fast_estimate = true;
 
   ServerConfig cfg;
   if (auto_pool) {

@@ -102,7 +102,7 @@ DfeSession DfeSession::compile(const NetworkSpec& spec, NetworkParams params,
   }
   state->estimate =
       estimate_fpga(state->pipeline, config.sim, config.partition,
-                    config.board, /*run_cycle_sim=*/!config.fast_estimate);
+                    config.board);
   if (config.engine.verify) {
     // The estimator chose a placement; prove it feasible (MaxRing link
     // rates and per-DFE resource totals) before the backend compiles.

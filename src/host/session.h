@@ -45,9 +45,6 @@ struct SessionConfig {
   EngineOptions engine{};
   /// Registered backend that executes inference (backend/backend.h).
   std::string backend = "engine";
-  /// Skip the cycle simulation at compile time (use the analytic clock
-  /// model); useful when constructing many sessions in sweeps.
-  bool fast_estimate = false;
 
   // ---- compile-time plan (plan/compiled_plan.h) --------------------------
   /// Pre-built plan this session compiles against. When set, its engine

@@ -13,17 +13,12 @@ double dfe_power_w(const DfeBoard& board, double utilization) {
 FpgaRunEstimate estimate_fpga(const Pipeline& pipeline,
                               const SimConfig& sim_config,
                               const PartitionConfig& partition_config,
-                              const DfeBoard& board, bool run_cycle_sim) {
+                              const DfeBoard& board) {
   FpgaRunEstimate est;
   est.partition = partition_optimal(pipeline, partition_config);
   est.num_dfes = est.partition.num_dfes();
 
-  if (run_cycle_sim) {
-    const SimResult sim = simulate(pipeline, sim_config, 2);
-    est.clocks_per_image = sim.steady_interval;
-  } else {
-    est.clocks_per_image = analytic_bottleneck_cycles(pipeline, sim_config);
-  }
+  est.clocks_per_image = simulate(pipeline, sim_config, 2).steady_interval;
   // Link serialization never throttles the paper's workloads, but the
   // partitioner reports a slowdown factor if a cut were oversubscribed.
   est.seconds_per_image = static_cast<double>(est.clocks_per_image) /

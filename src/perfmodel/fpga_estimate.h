@@ -27,12 +27,11 @@ struct FpgaRunEstimate {
 /// Board power of one DFE at the given fabric utilization.
 [[nodiscard]] double dfe_power_w(const DfeBoard& board, double utilization);
 
-/// Full estimate. When `run_cycle_sim` is false the analytic bottleneck is
-/// used instead of the cycle-by-cycle simulation (fast path for sweeps;
-/// both agree to within a few percent on the paper's networks).
+/// Full estimate: clocks per image are the steady interval of a two-image
+/// cycle simulation.
 [[nodiscard]] FpgaRunEstimate estimate_fpga(
     const Pipeline& pipeline, const SimConfig& sim_config = {},
     const PartitionConfig& partition_config = {},
-    const DfeBoard& board = max4_maia(), bool run_cycle_sim = true);
+    const DfeBoard& board = max4_maia());
 
 }  // namespace qnn

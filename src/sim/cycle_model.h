@@ -8,6 +8,21 @@
 // Timing is data-independent (the dataflow is input-static), so no weights
 // or images are needed.
 //
+// Stepping is event-driven, and still exact to the clock. Kernels step in
+// topological order within a cycle. A step depends only on the kernel's
+// own state, the occupancy of its adjacent FIFOs and the cycle number
+// (links read it for outage windows). So a kernel that stalled repeats
+// that stall until a neighbour pushes to or pops from one of its FIFOs. It
+// sleeps until then, waking on the same cycle when the neighbour comes
+// earlier in the step order and on the next cycle otherwise. A stalled
+// link also wakes at its next outage boundary. A kernel in a fixed busy
+// countdown sleeps on a timer: conv emission, host weight streaming and
+// link serialization touch no FIFO until the countdown's last clock. The
+// stall and busy cycles a kernel slept through are added when it wakes and
+// when the run ends, so every counter equals what stepping every kernel on
+// every clock gives, and idle stretches such as a long link outage cost
+// nothing. A run where no kernel can ever move again fails at once.
+//
 // Kernel clock model (§III-B1, calibrated against the paper's published
 // runtimes — see DESIGN.md and EXPERIMENTS.md for the fit):
 //  * On-chip streams carry one *pixel* (all channels of one spatial

@@ -31,11 +31,7 @@ struct TinyNet {
   NetworkSpec spec = models::tiny(12, 4, 2);
   Pipeline pipeline = expand(spec);
   NetworkParams params = NetworkParams::random(pipeline, 60);
-  SessionConfig session_config = [] {
-    SessionConfig cfg;
-    cfg.fast_estimate = true;
-    return cfg;
-  }();
+  SessionConfig session_config;
 
   [[nodiscard]] std::string output_stream() const {
     return pipeline.node(pipeline.size() - 1).name + "->output";
@@ -256,32 +252,38 @@ TEST(Fault, SimLinkCorruptionRetransmitsDeterministically) {
 }
 
 TEST(Fault, SimLinkCorruptionDrawIsOncePerFrame) {
-  // One-pixel frames over a 1-clock link: 288 frames for two 12x12
-  // images. A frame waiting for room at a shallow far FIFO must not draw
-  // the corruption fault again, so the retransmit count cannot depend on
-  // the FIFO depth.
-  const Pipeline p = expand(models::tiny(12, 4, 2));
+  // VGG-32 cut after its first bnact: one-pixel frames over a 1-clock
+  // link, 2048 frames for two images. The downstream convs are slower
+  // than the link, so a 4-deep far FIFO keeps filling and frames wait for
+  // room. Waiting must not draw the corruption fault again: the retransmit
+  // count cannot depend on the FIFO depth.
+  const Pipeline p = expand(models::vgg_like(32, 10, 2));
   FaultPlan plan;
   plan.add(FaultPlan::link_corrupt(/*link=*/0, /*per_million=*/200'000));
-  std::vector<std::uint64_t> counts;
+  std::vector<std::uint64_t> retransmits;
+  std::uint64_t shallow_stalls = 0;
   for (const std::size_t depth : {512, 64, 4}) {
     SimConfig cfg;
     cfg.cut_after_nodes = {1};
     cfg.fifo_depth = depth;
     apply_link_faults(plan, cfg, /*seed=*/42);
     const SimResult r = simulate(p, cfg, 2);
-    std::uint64_t retransmits = 0;
+    std::uint64_t count = 0;
     std::uint64_t frames = 0;
     for (const KernelStats& k : r.kernels) {
-      retransmits += k.retransmits;
-      if (k.name.rfind("link_", 0) == 0) frames += k.outputs;
+      count += k.retransmits;
+      if (k.name.rfind("link_", 0) == 0) {
+        frames += k.outputs;
+        shallow_stalls = k.stall_out;
+      }
     }
-    EXPECT_EQ(frames, 288u) << "depth " << depth;
-    counts.push_back(retransmits);
+    EXPECT_EQ(frames, 2048u) << "depth " << depth;
+    retransmits.push_back(count);
   }
-  EXPECT_GT(counts[0], 0u);
-  EXPECT_EQ(counts[1], counts[0]) << "depth 64 vs 512";
-  EXPECT_EQ(counts[2], counts[0]) << "depth 4 vs 512";
+  EXPECT_GT(shallow_stalls, 1000u) << "the 4-deep far FIFO must fill";
+  EXPECT_GT(retransmits[0], 0u);
+  EXPECT_EQ(retransmits[1], retransmits[0]) << "depth 64 vs 512";
+  EXPECT_EQ(retransmits[2], retransmits[0]) << "depth 4 vs 512";
 }
 
 TEST(Fault, ApplyDeratesPartitionLinkCapacity) {

@@ -48,7 +48,7 @@ TEST(Integration, AlexNetSmallStreamsBitExact) {
 
 TEST(Integration, EstimatesAreMutuallyConsistent) {
   const Pipeline p = expand(models::resnet18(224, 1000, 2));
-  const auto fpga = estimate_fpga(p, {}, {}, max4_maia(), false);
+  const auto fpga = estimate_fpga(p);
   const auto resources = estimate_resources(p);
   // The partitioner can never beat the resource lower bound.
   EXPECT_GE(fpga.num_dfes, resources.devices_needed(stratix_v_5sgsd8()));
@@ -108,7 +108,7 @@ TEST(Integration, GpuAndFpgaModelsCoverAllPaperWorkloads) {
         models::vgg_like(144, 10, 2), models::alexnet(224, 1000, 2),
         models::resnet18(224, 1000, 2)}) {
     const Pipeline p = expand(spec);
-    const auto fpga = estimate_fpga(p, {}, {}, max4_maia(), false);
+    const auto fpga = estimate_fpga(p);
     EXPECT_GT(fpga.images_per_second, 0.0) << spec.name;
     for (const auto& gpu : {tesla_p100(), gtx1080()}) {
       const auto est = estimate_gpu(p, gpu);

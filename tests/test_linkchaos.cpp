@@ -255,7 +255,6 @@ TEST(LinkChaos, ServerServesThroughLinkDeathWithZeroLostRequests) {
   }
 
   SessionConfig sc;
-  sc.fast_estimate = true;
   sc.engine.faults.add(FaultPlan::link_death(
       /*link=*/1, /*run=*/1, /*after_frames=*/4));
   ServerConfig cfg;

@@ -34,11 +34,7 @@ struct TinyNet {
   NetworkSpec spec = models::tiny(12, 4, 2);
   Pipeline pipeline = expand(spec);
   NetworkParams params = NetworkParams::random(pipeline, 60);
-  SessionConfig session_config = [] {
-    SessionConfig cfg;
-    cfg.fast_estimate = true;
-    return cfg;
-  }();
+  SessionConfig session_config;
 
   [[nodiscard]] std::vector<IntTensor> batch(int n, std::uint64_t seed) const {
     Rng rng(seed);

@@ -25,11 +25,7 @@ struct TinyNet {
   NetworkSpec spec = models::tiny(12, 4, 2);
   Pipeline pipeline = expand(spec);
   NetworkParams params = NetworkParams::random(pipeline, 60);
-  SessionConfig session_config = [] {
-    SessionConfig cfg;
-    cfg.fast_estimate = true;
-    return cfg;
-  }();
+  SessionConfig session_config;
 
   [[nodiscard]] DfeServer server(ServerConfig cfg) const {
     return DfeServer(spec, params, cfg, session_config);

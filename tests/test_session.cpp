@@ -17,9 +17,7 @@ namespace {
 DfeSession tiny_session(std::uint64_t seed = 50) {
   const NetworkSpec spec = models::tiny(12, 4, 2);
   const Pipeline p = expand(spec);
-  SessionConfig cfg;
-  cfg.fast_estimate = true;
-  return DfeSession::compile(spec, NetworkParams::random(p, seed), cfg);
+  return DfeSession::compile(spec, NetworkParams::random(p, seed));
 }
 
 TEST(Session, CompileInferMatchesReference) {
@@ -68,10 +66,8 @@ TEST(Session, LoadFromDiskMatchesCompiled) {
   NetworkParams params = NetworkParams::random(p, 53);
   const std::string path = "/tmp/qnn_session.qnn";
   save_network(path, spec, params);
-  SessionConfig cfg;
-  cfg.fast_estimate = true;
-  DfeSession compiled = DfeSession::compile(spec, std::move(params), cfg);
-  DfeSession loaded = DfeSession::load(path, cfg);
+  DfeSession compiled = DfeSession::compile(spec, std::move(params));
+  DfeSession loaded = DfeSession::load(path);
   std::remove(path.c_str());
   Rng rng(54);
   const IntTensor img = testutil::random_image(12, 12, 3, rng);
@@ -81,10 +77,7 @@ TEST(Session, LoadFromDiskMatchesCompiled) {
 TEST(Session, MultiDfePlacementForResNet) {
   const NetworkSpec spec = models::resnet18(224, 1000, 2);
   const Pipeline p = expand(spec);
-  SessionConfig cfg;
-  cfg.fast_estimate = true;  // skip the cycle sim; analytic is enough here
-  DfeSession session =
-      DfeSession::compile(spec, NetworkParams::random(p, 55), cfg);
+  DfeSession session = DfeSession::compile(spec, NetworkParams::random(p, 55));
   EXPECT_EQ(session.estimate().num_dfes, 3);
   EXPECT_EQ(static_cast<int>(session.placement().cuts.size()), 2);
 }
@@ -106,10 +99,8 @@ TEST(Session, ReplicasFromOneNetworkAreIndependent) {
   const NetworkSpec spec = models::tiny(12, 4, 2);
   const Pipeline p = expand(spec);
   const NetworkParams params = NetworkParams::random(p, 57);
-  SessionConfig cfg;
-  cfg.fast_estimate = true;
-  DfeSession a = DfeSession::compile(spec, params, cfg);
-  DfeSession b = DfeSession::compile(spec, params, cfg);
+  DfeSession a = DfeSession::compile(spec, params);
+  DfeSession b = DfeSession::compile(spec, params);
   const ReferenceExecutor ref(p, params);
   const auto batch = synthetic_batch(4, 12, 12, 3, 58);
   std::vector<IntTensor> out_a;
@@ -127,10 +118,8 @@ TEST(Session, ReplicasFromOneNetworkAreIndependent) {
 }
 
 TEST(Session, CompileRejectsMismatchedParams) {
-  SessionConfig cfg;
-  cfg.fast_estimate = true;
   EXPECT_THROW((void)DfeSession::compile(models::tiny(12, 4, 2),
-                                         NetworkParams{}, cfg),
+                                         NetworkParams{}),
                Error);
 }
 

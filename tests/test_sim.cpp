@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <map>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "models/zoo.h"
 
@@ -263,6 +267,54 @@ TEST(Sim, SimulatedBusyCyclesEqualAnalyticExactly) {
 
 TEST(Sim, RejectsSingleImageRun) {
   EXPECT_THROW((void)simulate(expand(models::tiny(12, 4, 2)), {}, 1), Error);
+}
+
+TEST(SimConfig_, RejectsNonPositiveDivisors) {
+  const Pipeline p = expand(models::tiny(12, 4, 2));
+  const std::vector<std::pair<std::string, void (*)(SimConfig&)>> broken = {
+      {"datapath_bits", [](SimConfig& c) { c.datapath_bits = 0; }},
+      {"link_bits_per_cycle", [](SimConfig& c) { c.link_bits_per_cycle = 0; }},
+      {"weight_stream_bits_per_cycle",
+       [](SimConfig& c) { c.weight_stream_bits_per_cycle = -32; }},
+      {"clock_hz", [](SimConfig& c) { c.clock_hz = 0.0; }},
+  };
+  for (const auto& [field, apply] : broken) {
+    SimConfig cfg;
+    apply(cfg);
+    EXPECT_THROW((void)simulate(p, cfg, 2), Error) << field;
+    EXPECT_THROW((void)analytic_busy_cycles(p, cfg), Error) << field;
+  }
+}
+
+TEST(Sim, DeadlockFailsAsSoonAsNothingCanMove) {
+  // Zero-depth FIFOs can never pass a value. The run must fail once no
+  // kernel can move, with every counter accounted up to that cycle,
+  // instead of spinning through the whole cycle budget first.
+  const Pipeline p = expand(models::resnet18(224, 1000, 2));
+  SimConfig cfg;
+  cfg.fifo_depth = 0;
+  const auto start = std::chrono::steady_clock::now();
+  std::string what;
+  try {
+    (void)simulate(p, cfg, 2);
+  } catch (const Error& e) {
+    what = e.what();
+  }
+  const std::chrono::duration<double> took =
+      std::chrono::steady_clock::now() - start;
+  EXPECT_LT(took.count(), 0.5);
+  ASSERT_NE(what.find("exceeded budget (deadlock?)"), std::string::npos)
+      << what;
+  const std::string tag = "after cycle ";
+  const std::size_t at = what.find(tag);
+  ASSERT_NE(at, std::string::npos) << what;
+  const std::uint64_t cycle = std::stoull(what.substr(at + tag.size()));
+  EXPECT_GT(cycle, 0u);
+  // The source could never push: it stalled on every cycle of the run.
+  EXPECT_NE(what.find("kernel source: busy=0 in_stall=0 out_stall=" +
+                      std::to_string(cycle) + " "),
+            std::string::npos)
+      << what;
 }
 
 }  // namespace

@@ -115,5 +115,24 @@ TEST(SimMultiDfe, WideLinkIsTransparentOnTiny) {
   EXPECT_EQ(r.steady_interval, solo);
 }
 
+TEST(SimMultiDfe, LongLinkOutageIsSkippedNotStepped) {
+  // A 10^9-cycle MaxRing outage: the run jumps across the window instead
+  // of stepping every kernel through it, and the link's blocked cycles
+  // are still counted.
+  const Pipeline p = expand(models::tiny(12, 4, 2));
+  const std::uint64_t down = 1'000'000'000;
+  SimConfig cfg;
+  cfg.cut_after_nodes = {1};
+  cfg.link_faults = {{/*link=*/0, /*down_from_cycle=*/100, down, 0, 0}};
+  const SimResult r = simulate(p, cfg, 2);
+  EXPECT_GT(r.total_cycles, down);
+  EXPECT_GT(r.first_image_cycles, down);
+  for (const KernelStats& k : r.kernels) {
+    if (k.name.rfind("link_", 0) == 0) {
+      EXPECT_GT(k.stall_out, down - 1000) << k.name;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace qnn
