@@ -100,9 +100,8 @@ DfeSession DfeSession::compile(const NetworkSpec& spec, NetworkParams params,
     }
     state->config = config;
   }
-  state->estimate =
-      estimate_fpga(state->pipeline, config.sim, config.partition,
-                    config.board);
+  state->estimate = estimate_fpga(state->pipeline, config.sim,
+                                  config.partition, config.board);
   if (config.engine.verify) {
     // The estimator chose a placement; prove it feasible (MaxRing link
     // rates and per-DFE resource totals) before the backend compiles.
