@@ -13,6 +13,7 @@
 // ablation alone.
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
@@ -372,25 +373,36 @@ double conv_datapath_ips(const Node& n, const FilterBank& fb,
   return images / elapsed.count();
 }
 
-}  // namespace
+/// Conv node of the ablation cells.
+Node ablation_conv(Shape in, int out_c, int k, int stride, int pad,
+                   int bits) {
+  Node n;
+  n.kind = NodeKind::Conv;
+  n.name = "abl_conv";
+  n.in = in;
+  n.out = conv_out_shape(in, out_c, k, stride, pad);
+  n.in_bits = bits;
+  n.out_bits = preact_bits(static_cast<std::int64_t>(k) * k * in.c, bits);
+  n.k = k;
+  n.stride = stride;
+  n.pad = pad;
+  n.param = 0;
+  return n;
+}
 
-/// Three-arm ablation of the conv inner datapath — scalar per-window
-/// re-pack vs packed incremental line buffers (scalar word loop) vs packed
-/// + widest SIMD — per activation width. Writes BENCH_kernels.json and
-/// enforces the acceptance bar on the geomean packed+SIMD speedup.
-int run_conv_datapath_ablation() {
-  constexpr int kImages = 8;
-  // A mid-network conv at paper scale: 3x3x64 -> 64 puts 576 bits (9
-  // words) in each bit-plane window, enough for the word-granular inner
-  // loop to matter. Tiny-channel layers are covered by the test suite.
-  const Shape in{16, 16, 64};
-  const int out_c = 64;
-  const int bits_list[] = {1, 2, 8};
+/// Images/second of one conv node through each datapath arm: scalar-pack,
+/// packed (scalar dot), packed + widest SIMD.
+using CellIps = std::array<double, 3>;
 
-  const simd::Level best = simd::available_levels().back();
-  // >= 3x with AVX2-or-wider popcount hardware; >= 2x from packing alone.
-  const double bar = best >= simd::Level::kAvx2 ? 3.0 : 2.0;
-
+CellIps measure_cell(const Node& n, std::uint64_t seed, int warmup,
+                     int images, simd::Level best, const std::string& label) {
+  Rng rng(seed);
+  const FilterBank fb = FilterBank::random(n.filter_shape(), rng);
+  std::vector<std::int32_t> img(static_cast<std::size_t>(n.in.elems()));
+  for (auto& v : img) {
+    v = static_cast<std::int32_t>(
+        rng.next_below(std::uint64_t{1} << n.in_bits));
+  }
   struct Arm {
     const char* label;
     ConvDatapath dp;
@@ -401,6 +413,59 @@ int run_conv_datapath_ablation() {
       {"packed", ConvDatapath::kPacked, simd::Level::kScalar},
       {"packed+simd", ConvDatapath::kPacked, best},
   };
+  CellIps ips{};
+  for (std::size_t a = 0; a < std::size(arms); ++a) {
+    set_conv_datapath(arms[a].dp);
+    simd::set_level(arms[a].level);
+    (void)conv_datapath_ips(n, fb, img, warmup);  // untimed
+    ips[a] = conv_datapath_ips(n, fb, img, images);
+    std::cout << "  " << label << ", " << arms[a].label << ": " << ips[a]
+              << " images/s\n";
+  }
+  set_conv_datapath(ConvDatapath::kPacked);
+  simd::set_level(std::nullopt);
+  return ips;
+}
+
+void write_cell_ips(std::ostream& js, const CellIps& ips) {
+  js << "\"scalar_pack_ips\": " << ips[0]
+     << ", \"packed_scalar_ips\": " << ips[1]
+     << ", \"packed_simd_ips\": " << ips[2]
+     << ", \"packed_vs_scalarpack\": " << ips[1] / ips[0]
+     << ", \"simd_vs_scalarpack\": " << ips[2] / ips[0];
+}
+
+}  // namespace
+
+/// Three-arm ablation of the conv inner datapath — scalar per-window
+/// re-pack vs packed incremental line buffers (scalar word loop) vs packed
+/// + widest SIMD. The gated cells are one mid-network conv per activation
+/// width; the acceptance bar applies to their geomean packed+SIMD speedup.
+/// The paper networks' first layers follow as ungated cells. Writes
+/// BENCH_kernels.json.
+int run_conv_datapath_ablation() {
+  constexpr int kImages = 8;
+  // A mid-network conv at paper scale: 3x3x64 -> 64 puts 576 bits (9
+  // words) in each bit-plane window, enough for the word-granular inner
+  // loop to matter. Tiny-channel layers are covered by the test suite.
+  const Shape in{16, 16, 64};
+  const int out_c = 64;
+  const int bits_list[] = {1, 2, 8};
+  // The first convs of ResNet-18@224 and AlexNet@224 at their 8-bit input:
+  // few words per plane, many windows. They set the pace of those networks
+  // on the live engine, so their speed is reported, but not gated.
+  struct FirstLayer {
+    const char* name;
+    Node node;
+  };
+  const FirstLayer first_layers[] = {
+      {"resnet18_conv_0", ablation_conv({224, 224, 3}, 64, 7, 2, 3, 8)},
+      {"alexnet_conv_0", ablation_conv({224, 224, 3}, 96, 11, 4, 2, 8)},
+  };
+
+  const simd::Level best = simd::available_levels().back();
+  // >= 3x with AVX2-or-wider popcount hardware; >= 2x from packing alone.
+  const double bar = best >= simd::Level::kAvx2 ? 3.0 : 2.0;
 
   std::cout << "\nconv datapath ablation (single kernel, cooperative "
                "single-thread drive; host best simd: "
@@ -411,49 +476,30 @@ int run_conv_datapath_ablation() {
   double log_sum = 0.0;
   for (std::size_t b = 0; b < std::size(bits_list); ++b) {
     const int bits = bits_list[b];
-    Node n;
-    n.kind = NodeKind::Conv;
-    n.name = "abl_conv";
-    n.in = in;
-    n.out = conv_out_shape(in, out_c, 3, 1, 1);
-    n.in_bits = bits;
-    n.out_bits = preact_bits(std::int64_t{3} * 3 * in.c, bits);
-    n.k = 3;
-    n.stride = 1;
-    n.pad = 1;
-    n.param = 0;
-    Rng rng(21 + static_cast<std::uint64_t>(bits));
-    const FilterBank fb = FilterBank::random(n.filter_shape(), rng);
-    std::vector<std::int32_t> img(static_cast<std::size_t>(in.elems()));
-    for (auto& v : img) {
-      v = static_cast<std::int32_t>(rng.next_below(std::uint64_t{1} << bits));
-    }
-    double ips[3] = {0.0, 0.0, 0.0};
-    for (std::size_t a = 0; a < std::size(arms); ++a) {
-      set_conv_datapath(arms[a].dp);
-      simd::set_level(arms[a].level);
-      (void)conv_datapath_ips(n, fb, img, 2);  // warm-up, untimed
-      ips[a] = conv_datapath_ips(n, fb, img, kImages);
-      std::cout << "  in_bits=" << bits << ", " << arms[a].label << ": "
-                << ips[a] << " images/s\n";
-    }
-    const double packed_ratio = ips[1] / ips[0];
-    const double simd_ratio = ips[2] / ips[0];
-    log_sum += std::log(simd_ratio);
-    js << "    {\"in_bits\": " << bits << ", \"scalar_pack_ips\": " << ips[0]
-       << ", \"packed_scalar_ips\": " << ips[1]
-       << ", \"packed_simd_ips\": " << ips[2]
-       << ", \"packed_vs_scalarpack\": " << packed_ratio
-       << ", \"simd_vs_scalarpack\": " << simd_ratio << "}"
-       << (b + 1 < std::size(bits_list) ? "," : "") << "\n";
+    const CellIps c =
+        measure_cell(ablation_conv(in, out_c, 3, 1, 1, bits),
+                     21 + static_cast<std::uint64_t>(bits), 2, kImages, best,
+                     "in_bits=" + std::to_string(bits));
+    log_sum += std::log(c[2] / c[0]);
+    js << "    {\"in_bits\": " << bits << ", ";
+    write_cell_ips(js, c);
+    js << "}" << (b + 1 < std::size(bits_list) ? "," : "") << "\n";
   }
-  set_conv_datapath(ConvDatapath::kPacked);
-  simd::set_level(std::nullopt);
   const double geomean =
       std::exp(log_sum / static_cast<double>(std::size(bits_list)));
   const bool pass = geomean >= bar;
   js << "  ],\n  \"geomean_simd_vs_scalarpack\": " << geomean
-     << ",\n  \"pass\": " << (pass ? "true" : "false") << "\n}\n";
+     << ",\n  \"pass\": " << (pass ? "true" : "false")
+     << ",\n  \"first_layer_cells\": [\n";
+  for (std::size_t i = 0; i < std::size(first_layers); ++i) {
+    const FirstLayer& fl = first_layers[i];
+    const CellIps c = measure_cell(fl.node, 31 + i, 1, 2, best, fl.name);
+    js << "    {\"name\": \"" << fl.name << "\", \"in_bits\": "
+       << fl.node.in_bits << ", ";
+    write_cell_ips(js, c);
+    js << "}" << (i + 1 < std::size(first_layers) ? "," : "") << "\n";
+  }
+  js << "  ]\n}\n";
   std::cout << "packed+simd vs scalar-pack geomean: " << geomean
             << "x (bar: >= " << bar << ")\n"
             << js.str();

@@ -10,9 +10,10 @@
 //     window scanner's row ring (§III-B2 of the paper).
 //   PackedWindow — a window's plane words, assembled from the line buffer by
 //     K contiguous bit-range splices per plane (word funnel shifts, never a
-//     re-pack), with each plane's popcount cached at finalize time.
-//   PackedFilters — filter-major packed weights, laid out once at kernel
-//     construction so the O-filter inner loop walks a flat word array.
+//     re-pack), stored plane-major as VecOps::dot_window reads them.
+//   PackedFilters — packed weights in groups of simd::kFilterLanes filters,
+//     word-interleaved once at kernel construction, so one vector load
+//     reads the same word of a whole group (one lane per filter).
 //
 // Bit layout matches BitPlaneWindow/FilterBank: depth-first (dy, dx, ci)
 // within a window, (x, ci) within a line-buffer row. Padding is code 0,
@@ -28,6 +29,7 @@
 #include <vector>
 
 #include "core/bitops.h"
+#include "core/bitvector.h"
 #include "core/error.h"
 #include "core/simd/vec_ops.h"
 
@@ -37,7 +39,7 @@ namespace qnn {
 /// `row_bits` values each. Rows are recycled mod `rows` by the caller.
 class BitPlaneLineBuffer {
  public:
-  static constexpr int kMaxPlanes = 16;
+  static constexpr int kMaxPlanes = simd::kMaxPlanes;
 
   BitPlaneLineBuffer(int planes, int rows, std::int64_t row_bits)
       : planes_(planes),
@@ -113,8 +115,8 @@ class BitPlaneLineBuffer {
   std::vector<Word> data_;
 };
 
-/// One window's plane words, spliced from a BitPlaneLineBuffer, with each
-/// plane's popcount cached once per window (finalize).
+/// One window's plane words, spliced from a BitPlaneLineBuffer: plane p
+/// occupies words [p*plane_words, (p+1)*plane_words) of data().
 class PackedWindow {
  public:
   PackedWindow(std::int64_t values, int planes)
@@ -123,19 +125,14 @@ class PackedWindow {
         plane_words_(words_for_bits(values)),
         data_(static_cast<std::size_t>(planes) *
                   static_cast<std::size_t>(plane_words_),
-              0),
-        pops_(static_cast<std::size_t>(planes), 0) {
+              0) {
     QNN_CHECK(values >= 1 && planes >= 1, "empty packed window");
   }
 
   [[nodiscard]] std::int64_t values() const { return values_; }
   [[nodiscard]] int planes() const { return planes_; }
   [[nodiscard]] std::int64_t plane_words() const { return plane_words_; }
-
-  [[nodiscard]] const Word* plane(int p) const {
-    return data_.data() +
-           static_cast<std::size_t>(p) * static_cast<std::size_t>(plane_words_);
-  }
+  [[nodiscard]] const Word* data() const { return data_.data(); }
 
   /// Splice `len` bits of line row (`plane`, `r`) starting at bit `src_bit`
   /// into this window's plane at bit `dst_bit`.
@@ -144,32 +141,13 @@ class PackedWindow {
     copy_bits(lines.row(p, r), src_bit, mutable_plane(p), dst_bit, len);
   }
 
-  /// Mask the tail word of every plane and cache per-plane popcounts.
-  /// Call once after the window's splices, before dot_filters/plane_pop.
-  void finalize(const simd::VecOps& ops) {
+  /// Mask the tail word of every plane. Call once after the window's
+  /// splices, before the dot.
+  void finalize() {
     const int tail = static_cast<int>(values_ % kWordBits);
+    if (tail == 0) return;
     for (int p = 0; p < planes_; ++p) {
-      Word* words = mutable_plane(p);
-      if (tail != 0) words[plane_words_ - 1] &= low_mask(tail);
-      pops_[static_cast<std::size_t>(p)] = static_cast<std::int64_t>(
-          ops.popcount(words, static_cast<std::size_t>(plane_words_)));
-    }
-  }
-
-  [[nodiscard]] std::int64_t plane_pop(int p) const {
-    return pops_[static_cast<std::size_t>(p)];
-  }
-
-  /// XNOR-popcount dot of this window against `count` packed filters laid
-  /// out filter-major at stride `stride_words`; acc[f] receives the signed
-  /// fixed-point dot (sum over planes of 2^p * pm1 agreement score).
-  void dot_filters(const simd::VecOps& ops, const Word* filters,
-                   std::size_t stride_words, std::size_t count,
-                   std::int64_t* acc) const {
-    std::fill(acc, acc + count, std::int64_t{0});
-    for (int p = 0; p < planes_; ++p) {
-      ops.accumulate_plane(plane(p), static_cast<std::size_t>(plane_words_),
-                           plane_pop(p), filters, stride_words, count, p, acc);
+      mutable_plane(p)[plane_words_ - 1] &= low_mask(tail);
     }
   }
 
@@ -183,46 +161,46 @@ class PackedWindow {
   int planes_;
   std::int64_t plane_words_;
   std::vector<Word> data_;
-  std::vector<std::int64_t> pops_;
 };
 
-/// Filter-major packed +-1 weights: filter f's sign bits occupy words
-/// [f*stride_words, f*stride_words + stride_words). Built once at kernel
-/// construction from the FilterBank's BitVectors (whose tail-zero invariant
-/// carries over, so no per-dot masking is needed on the weight side).
+/// Packed +-1 weights in the VecOps::dot_window layout: filters in groups
+/// of simd::kFilterLanes, word-interleaved, so word i of filter f sits at
+/// data()[((f / L) * n + i) * L + f % L], with n words per filter and
+/// L = kFilterLanes. The spare lanes of the last group stay zero; their
+/// dots are never emitted. The BitVector tail-zero invariant carries over,
+/// so the dot needs no weight-side masking.
 class PackedFilters {
  public:
-  PackedFilters() = default;
-
   PackedFilters(std::int64_t bits_per_filter, int count)
-      : stride_words_(words_for_bits(bits_per_filter)),
+      : words_(static_cast<std::size_t>(words_for_bits(bits_per_filter))),
         count_(count),
-        data_(static_cast<std::size_t>(stride_words_) *
-                  static_cast<std::size_t>(count),
-              0) {}
-
-  [[nodiscard]] std::size_t stride_words() const {
-    return static_cast<std::size_t>(stride_words_);
+        groups_((static_cast<std::size_t>(count) + simd::kFilterLanes - 1) /
+                simd::kFilterLanes),
+        data_(groups_ * words_ * simd::kFilterLanes, 0) {
+    QNN_CHECK(bits_per_filter >= 1 && count >= 1, "empty packed filters");
   }
-  [[nodiscard]] int count() const { return count_; }
+
+  [[nodiscard]] std::size_t groups() const { return groups_; }
   [[nodiscard]] const Word* data() const { return data_.data(); }
 
-  [[nodiscard]] const Word* filter(int f) const {
-    return data_.data() +
-           static_cast<std::size_t>(f) * static_cast<std::size_t>(stride_words_);
-  }
-
-  /// Copy filter `f`'s packed words from `words` (stride_words() words).
-  void set(int f, std::span<const Word> words) {
-    QNN_CHECK(words.size() == stride_words(), "packed filter width mismatch");
-    std::memcpy(data_.data() + static_cast<std::size_t>(f) *
-                                   static_cast<std::size_t>(stride_words_),
-                words.data(), words.size() * sizeof(Word));
+  /// Scatter filter `f`'s sign bits into its lane of its group.
+  void set(int f, const BitVector& bits) {
+    QNN_CHECK(f >= 0 && f < count_, "packed filter index out of range");
+    QNN_CHECK(static_cast<std::size_t>(bits.words()) == words_,
+              "packed filter width mismatch");
+    const auto uf = static_cast<std::size_t>(f);
+    Word* dst = data_.data() +
+                (uf / simd::kFilterLanes) * words_ * simd::kFilterLanes +
+                uf % simd::kFilterLanes;
+    for (std::size_t i = 0; i < words_; ++i) {
+      dst[i * simd::kFilterLanes] = bits.word(static_cast<std::int64_t>(i));
+    }
   }
 
  private:
-  std::int64_t stride_words_ = 0;
-  int count_ = 0;
+  std::size_t words_;
+  int count_;
+  std::size_t groups_;
   std::vector<Word> data_;
 };
 

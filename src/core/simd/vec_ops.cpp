@@ -22,31 +22,35 @@ std::uint64_t popcount_scalar(const Word* a, std::size_t n) {
   return total;
 }
 
-std::uint64_t and_popcount_scalar(const Word* a, const Word* b,
-                                  std::size_t n) {
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    total += static_cast<std::uint64_t>(qnn::popcount(a[i] & b[i]));
+/// The reference: one filter lane at a time, the formula as written.
+void dot_window_scalar(const Word* planes, int plane_count, std::size_t n,
+                       const Word* w, std::size_t groups, std::int32_t* out) {
+  QNN_DCHECK(plane_count >= 1 && plane_count <= kMaxPlanes,
+             "dot_window plane count out of range");
+  std::int64_t pops[kMaxPlanes] = {};
+  for (int p = 0; p < plane_count; ++p) {
+    pops[p] = static_cast<std::int64_t>(
+        popcount_scalar(planes + static_cast<std::size_t>(p) * n, n));
   }
-  return total;
-}
-
-void accumulate_plane_scalar(const Word* a, std::size_t n, std::int64_t pop_a,
-                             const Word* w, std::size_t stride_words,
-                             std::size_t filters, int shift,
-                             std::int64_t* acc) {
-  for (std::size_t f = 0; f < filters; ++f) {
-    const Word* wf = w + f * stride_words;
-    std::uint64_t on = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      on += static_cast<std::uint64_t>(qnn::popcount(wf[i] & a[i]));
+  for (std::size_t g = 0; g < groups; ++g) {
+    const Word* wg = w + g * n * kFilterLanes;
+    for (std::size_t lane = 0; lane < kFilterLanes; ++lane) {
+      std::int64_t dot = 0;
+      for (int p = 0; p < plane_count; ++p) {
+        const Word* a = planes + static_cast<std::size_t>(p) * n;
+        std::int64_t on = 0;
+        for (std::size_t i = 0; i < n; ++i) {
+          on += qnn::popcount(wg[i * kFilterLanes + lane] & a[i]);
+        }
+        dot += (2 * on - pops[p]) << p;
+      }
+      out[g * kFilterLanes + lane] = static_cast<std::int32_t>(dot);
     }
-    acc[f] += (2 * static_cast<std::int64_t>(on) - pop_a) << shift;
   }
 }
 
 constexpr VecOps kScalarOps{Level::kScalar, "scalar", popcount_scalar,
-                            and_popcount_scalar, accumulate_plane_scalar};
+                            dot_window_scalar};
 
 // ---------------------------------------------------------------- dispatch
 

@@ -17,6 +17,7 @@
 // request clamps down to the widest available level with a one-time note.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -26,6 +27,13 @@
 namespace qnn::simd {
 
 enum class Level { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
+
+/// Filters per group in the dot_window weight layout: one AVX-512 register
+/// of 64-bit words (two AVX2 registers).
+inline constexpr std::size_t kFilterLanes = 8;
+
+/// Widest activation dot_window accepts, in bit-planes.
+inline constexpr int kMaxPlanes = 16;
 
 [[nodiscard]] const char* level_name(Level level);
 
@@ -39,19 +47,18 @@ struct VecOps {
   /// Total set bits over a[0..n).
   std::uint64_t (*popcount)(const Word* a, std::size_t n);
 
-  /// popcount(a & b) over n words.
-  std::uint64_t (*and_popcount)(const Word* a, const Word* b, std::size_t n);
-
-  /// The conv inner loop: for every filter f in [0, filters), with filter
-  /// f's words at w + f*stride_words,
-  ///   acc[f] += (2*popcount(w_f & a) - pop_a) << shift
-  /// i.e. one bit-plane's +-1-weighted contribution (core/bitplanes.h) for
-  /// all filters, streaming the filter-major weight words once while the
-  /// plane words stay resident.
-  void (*accumulate_plane)(const Word* a, std::size_t n, std::int64_t pop_a,
-                           const Word* w, std::size_t stride_words,
-                           std::size_t filters, int shift,
-                           std::int64_t* acc);
+  /// The conv inner loop, filter-parallel: one vector lane per filter, as
+  /// FINN maps one processing element per output neuron. `planes` holds
+  /// one window's `plane_count` (1..kMaxPlanes) bit-planes of `n` words
+  /// each, plane-major. `w` holds `groups` groups of kFilterLanes filters,
+  /// word-interleaved: word i of filter g*kFilterLanes + l is
+  /// w[(g*n + i)*kFilterLanes + l]. For every filter f < groups*kFilterLanes
+  ///   out[f] = sum_p (2*popcount(w_f & plane_p) - popcount(plane_p)) << p
+  /// i.e. the +-1-weighted bit-plane dot of core/bitplanes.h, truncated to
+  /// 32 bits. Each weight word is loaded once per window for all planes and
+  /// nothing is summed across lanes.
+  void (*dot_window)(const Word* planes, int plane_count, std::size_t n,
+                     const Word* w, std::size_t groups, std::int32_t* out);
 };
 
 /// Levels compiled into this binary AND usable on this CPU, ascending.

@@ -1,12 +1,17 @@
-// AVX2 path: 4-word AND + vpshufb nibble-LUT popcount (the classic Mula
-// kernel), horizontal-summed with vpsadbw. Built with a per-function
-// target attribute so the TU compiles under the generic -march; the
-// dispatcher only hands these functions out after a CPUID check.
+// AVX2 path: vpshufb nibble-LUT popcount (the classic Mula kernel) summed
+// per 64-bit lane with vpsadbw. Built with a per-function target attribute
+// so the TU compiles under the generic -march; the dispatcher only hands
+// these functions out after a CPUID check.
 #include "core/simd/vec_ops_impl.h"
 
 #if defined(__x86_64__) && defined(QNN_SIMD_AVX2)
 
 #include <immintrin.h>
+
+#include <array>
+#include <utility>
+
+#include "core/error.h"
 
 namespace qnn::simd::detail {
 namespace {
@@ -45,36 +50,93 @@ __attribute__((target("avx2"))) std::uint64_t popcount_avx2(const Word* a,
   return t;
 }
 
-__attribute__((target("avx2"))) std::uint64_t and_popcount_avx2(
-    const Word* a, const Word* b, std::size_t n) {
-  __m256i total = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i v = _mm256_and_si256(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i)),
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i)));
-    total = _mm256_add_epi64(
-        total, _mm256_sad_epu8(popcount_bytes(v), _mm256_setzero_si256()));
+/// dot_window for a fixed plane count P. A group of 8 filters is two ymm
+/// of 4 filter lanes each; vpsadbw leaves each 64-bit lane's popcount in
+/// that lane, so the per-plane accumulators are per-filter with no
+/// horizontal sum.
+template <int P>
+__attribute__((target("avx2"))) void dot_window_avx2_p(const Word* planes,
+                                                        std::size_t n,
+                                                        const Word* w,
+                                                        std::size_t groups,
+                                                        std::int32_t* out) {
+  // sum_p popcount(plane_p) << p is the same for every filter.
+  std::int64_t bias = 0;
+  for (int p = 0; p < P; ++p) {
+    bias += static_cast<std::int64_t>(
+                popcount_avx2(planes + static_cast<std::size_t>(p) * n, n))
+            << p;
   }
-  std::uint64_t t = hsum_epi64(total);
-  for (; i < n; ++i) {
-    t += static_cast<std::uint64_t>(qnn::popcount(a[i] & b[i]));
+  const __m256i vbias = _mm256_set1_epi64x(bias);
+  const __m256i zero = _mm256_setzero_si256();
+  // Picks the low 32 bits of each 64-bit lane into the low 128 bits.
+  const __m256i narrow = _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6);
+  for (std::size_t g = 0; g < groups; ++g) {
+    const Word* wg = w + g * n * kFilterLanes;
+    __m256i lo[P];
+    __m256i hi[P];
+#pragma GCC unroll 16
+    for (int p = 0; p < P; ++p) lo[p] = hi[p] = zero;
+    for (std::size_t i = 0; i < n; ++i) {
+      const Word* wi = wg + i * kFilterLanes;
+      const __m256i w0 =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(wi));
+      const __m256i w1 =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(wi + 4));
+#pragma GCC unroll 16
+      for (int p = 0; p < P; ++p) {
+        const __m256i a = _mm256_set1_epi64x(static_cast<long long>(
+            planes[static_cast<std::size_t>(p) * n + i]));
+        lo[p] = _mm256_add_epi64(
+            lo[p], _mm256_sad_epu8(popcount_bytes(_mm256_and_si256(w0, a)),
+                                   zero));
+        hi[p] = _mm256_add_epi64(
+            hi[p], _mm256_sad_epu8(popcount_bytes(_mm256_and_si256(w1, a)),
+                                   zero));
+      }
+    }
+    // 2 * sum_p on_p << p by Horner from the top plane, then the bias.
+    __m256i dot_lo = zero;
+    __m256i dot_hi = zero;
+#pragma GCC unroll 16
+    for (int p = P - 1; p >= 0; --p) {
+      dot_lo = _mm256_add_epi64(_mm256_add_epi64(dot_lo, dot_lo), lo[p]);
+      dot_hi = _mm256_add_epi64(_mm256_add_epi64(dot_hi, dot_hi), hi[p]);
+    }
+    dot_lo = _mm256_sub_epi64(_mm256_add_epi64(dot_lo, dot_lo), vbias);
+    dot_hi = _mm256_sub_epi64(_mm256_add_epi64(dot_hi, dot_hi), vbias);
+    std::int32_t* o = out + g * kFilterLanes;
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(o),
+                     _mm256_castsi256_si128(
+                         _mm256_permutevar8x32_epi32(dot_lo, narrow)));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(o + 4),
+                     _mm256_castsi256_si128(
+                         _mm256_permutevar8x32_epi32(dot_hi, narrow)));
   }
-  return t;
 }
 
-__attribute__((target("avx2"))) void accumulate_plane_avx2(
-    const Word* a, std::size_t n, std::int64_t pop_a, const Word* w,
-    std::size_t stride_words, std::size_t filters, int shift,
-    std::int64_t* acc) {
-  for (std::size_t f = 0; f < filters; ++f) {
-    const std::uint64_t on = and_popcount_avx2(w + f * stride_words, a, n);
-    acc[f] += (2 * static_cast<std::int64_t>(on) - pop_a) << shift;
-  }
+using DotWindowP = void (*)(const Word*, std::size_t, const Word*,
+                            std::size_t, std::int32_t*);
+
+template <std::size_t... I>
+constexpr std::array<DotWindowP, sizeof...(I)> dot_window_table(
+    std::index_sequence<I...> /*unused*/) {
+  return {&dot_window_avx2_p<static_cast<int>(I) + 1>...};
+}
+
+constexpr auto kDotWindowByPlanes =
+    dot_window_table(std::make_index_sequence<kMaxPlanes>{});
+
+void dot_window_avx2(const Word* planes, int plane_count, std::size_t n,
+                     const Word* w, std::size_t groups, std::int32_t* out) {
+  QNN_DCHECK(plane_count >= 1 && plane_count <= kMaxPlanes,
+             "dot_window plane count out of range");
+  kDotWindowByPlanes[static_cast<std::size_t>(plane_count - 1)](planes, n, w,
+                                                                groups, out);
 }
 
 constexpr VecOps kAvx2Ops{Level::kAvx2, "avx2", popcount_avx2,
-                          and_popcount_avx2, accumulate_plane_avx2};
+                          dot_window_avx2};
 
 }  // namespace
 

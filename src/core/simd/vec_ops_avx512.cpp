@@ -1,13 +1,20 @@
-// AVX-512 path: 8-word AND + vpopcntdq (the VPOPCNTDQ extension counts 64
-// bits per lane in one instruction — popcount bandwidth is the whole game
-// for binary conv, per FINN/XNORBIN). Tails use a masked load, so every
-// call is branch-light. The horizontal sum avoids _mm512_reduce_add_epi64,
-// whose gcc-12 header trips -Wuninitialized under -Werror.
+// AVX-512 path: vpopcntdq counts 64 bits per lane in one instruction —
+// popcount bandwidth is the whole game for binary conv, per FINN/XNORBIN.
+// dot_window gives each of the 8 lanes of a zmm its own filter, so a group
+// of 8 filters is one load per weight word and no horizontal sum is ever
+// needed. The popcount tail uses a masked load; its horizontal sum avoids
+// _mm512_reduce_add_epi64, whose gcc-12 header trips -Wuninitialized under
+// -Werror.
 #include "core/simd/vec_ops_impl.h"
 
 #if defined(__x86_64__) && defined(QNN_SIMD_AVX512)
 
 #include <immintrin.h>
+
+#include <array>
+#include <utility>
+
+#include "core/error.h"
 
 namespace qnn::simd::detail {
 namespace {
@@ -38,38 +45,70 @@ __attribute__((QNN_AVX512_TARGET)) std::uint64_t popcount_avx512(
   return hsum_epi64(total);
 }
 
-__attribute__((QNN_AVX512_TARGET)) std::uint64_t and_popcount_avx512(
-    const Word* a, const Word* b, std::size_t n) {
-  __m512i total = _mm512_setzero_si512();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512i v =
-        _mm512_and_si512(_mm512_loadu_si512(a + i), _mm512_loadu_si512(b + i));
-    total = _mm512_add_epi64(total, _mm512_popcnt_epi64(v));
+/// dot_window for a fixed plane count P, so the P per-plane popcount
+/// accumulators of a filter group stay in registers across the word loop.
+template <int P>
+__attribute__((QNN_AVX512_TARGET)) void dot_window_avx512_p(
+    const Word* planes, std::size_t n, const Word* w, std::size_t groups,
+    std::int32_t* out) {
+  // sum_p popcount(plane_p) << p is the same for every filter.
+  std::int64_t bias = 0;
+  for (int p = 0; p < P; ++p) {
+    bias += static_cast<std::int64_t>(
+                popcount_avx512(planes + static_cast<std::size_t>(p) * n, n))
+            << p;
   }
-  if (i < n) {
-    const __mmask8 tail = static_cast<__mmask8>((1u << (n - i)) - 1u);
-    const __m512i v = _mm512_and_si512(_mm512_maskz_loadu_epi64(tail, a + i),
-                                       _mm512_maskz_loadu_epi64(tail, b + i));
-    total = _mm512_add_epi64(total, _mm512_popcnt_epi64(v));
+  const __m512i vbias = _mm512_set1_epi64(bias);
+  for (std::size_t g = 0; g < groups; ++g) {
+    const Word* wg = w + g * n * kFilterLanes;
+    __m512i on[P];
+#pragma GCC unroll 16
+    for (int p = 0; p < P; ++p) on[p] = _mm512_setzero_si512();
+    for (std::size_t i = 0; i < n; ++i) {
+      const __m512i wv = _mm512_loadu_si512(wg + i * kFilterLanes);
+#pragma GCC unroll 16
+      for (int p = 0; p < P; ++p) {
+        const __m512i a = _mm512_set1_epi64(static_cast<long long>(
+            planes[static_cast<std::size_t>(p) * n + i]));
+        on[p] = _mm512_add_epi64(
+            on[p], _mm512_popcnt_epi64(_mm512_and_si512(wv, a)));
+      }
+    }
+    // 2 * sum_p on_p << p by Horner from the top plane, then the bias.
+    __m512i dot = _mm512_setzero_si512();
+#pragma GCC unroll 16
+    for (int p = P - 1; p >= 0; --p) {
+      dot = _mm512_add_epi64(_mm512_add_epi64(dot, dot), on[p]);
+    }
+    dot = _mm512_sub_epi64(_mm512_add_epi64(dot, dot), vbias);
+    _mm512_mask_cvtepi64_storeu_epi32(out + g * kFilterLanes, 0xff, dot);
   }
-  return hsum_epi64(total);
 }
 
-__attribute__((QNN_AVX512_TARGET)) void accumulate_plane_avx512(
-    const Word* a, std::size_t n, std::int64_t pop_a, const Word* w,
-    std::size_t stride_words, std::size_t filters, int shift,
-    std::int64_t* acc) {
-  for (std::size_t f = 0; f < filters; ++f) {
-    const std::uint64_t on = and_popcount_avx512(w + f * stride_words, a, n);
-    acc[f] += (2 * static_cast<std::int64_t>(on) - pop_a) << shift;
-  }
+using DotWindowP = void (*)(const Word*, std::size_t, const Word*,
+                            std::size_t, std::int32_t*);
+
+template <std::size_t... I>
+constexpr std::array<DotWindowP, sizeof...(I)> dot_window_table(
+    std::index_sequence<I...> /*unused*/) {
+  return {&dot_window_avx512_p<static_cast<int>(I) + 1>...};
+}
+
+constexpr auto kDotWindowByPlanes =
+    dot_window_table(std::make_index_sequence<kMaxPlanes>{});
+
+void dot_window_avx512(const Word* planes, int plane_count, std::size_t n,
+                       const Word* w, std::size_t groups, std::int32_t* out) {
+  QNN_DCHECK(plane_count >= 1 && plane_count <= kMaxPlanes,
+             "dot_window plane count out of range");
+  kDotWindowByPlanes[static_cast<std::size_t>(plane_count - 1)](planes, n, w,
+                                                                groups, out);
 }
 
 #undef QNN_AVX512_TARGET
 
 constexpr VecOps kAvx512Ops{Level::kAvx512, "avx512", popcount_avx512,
-                            and_popcount_avx512, accumulate_plane_avx512};
+                            dot_window_avx512};
 
 }  // namespace
 

@@ -155,20 +155,13 @@ ConvKernel::ConvKernel(const Node& node, const FilterBank& weights,
       lines_(node.in_bits, node.k,
              static_cast<std::int64_t>(scanner().padded_w()) * node.in.c),
       window_(scanner().window_values(), node.in_bits),
-      acc_(static_cast<std::size_t>(node.out.c), 0),
+      acc_(packed_weights_.groups() * simd::kFilterLanes, 0),
       datapath_(conv_datapath()) {
   QNN_CHECK(node.kind == NodeKind::Conv, "ConvKernel needs a Conv node");
   QNN_CHECK(weights.shape() == node.filter_shape(),
             "weight bank does not match node geometry");
-  // Re-pack the weight cache filter-major once; the BitVector tail-zero
-  // invariant carries over, so the SIMD sweep needs no weight-side masking.
-  std::vector<Word> tmp(packed_weights_.stride_words());
   for (int o = 0; o < node.out.c; ++o) {
-    const BitVector& f = weights.filter(o);
-    for (std::int64_t w = 0; w < f.words(); ++w) {
-      tmp[static_cast<std::size_t>(w)] = f.word(w);
-    }
-    packed_weights_.set(o, tmp);
+    packed_weights_.set(o, weights.filter(o));
   }
 }
 
@@ -207,8 +200,7 @@ void ConvKernel::emit(const WindowScanner::Completed& at) {
   // Packed incremental path: every activation was bit-plane-packed exactly
   // once at ingest; a window is K contiguous bit-range splices per plane
   // out of the line buffer (rows recycled mod K, in step with the scanner
-  // ring), then one SIMD AND-popcount sweep over all O filters.
-  const auto& ops = simd::vec_ops();
+  // ring), then one filter-parallel dot over all planes and all O filters.
   const int k = node().k;
   const int stride = node().stride;
   const std::int64_t chans = node().in.c;
@@ -224,16 +216,15 @@ void ConvKernel::emit(const WindowScanner::Completed& at) {
                      static_cast<std::int64_t>(dy) * seg, seg);
     }
   }
-  window_.finalize(ops);
+  window_.finalize();
   // "One output pixel per clock cycle, until all the filters are applied
   // at this position" (§III-B1): emit all O responses.
-  window_.dot_filters(ops, packed_weights_.data(),
-                      packed_weights_.stride_words(),
-                      static_cast<std::size_t>(o_count), acc_.data());
-  for (int o = 0; o < o_count; ++o) {
-    stage().append(
-        static_cast<std::int32_t>(acc_[static_cast<std::size_t>(o)]));
-  }
+  simd::vec_ops().dot_window(
+      window_.data(), window_.planes(),
+      static_cast<std::size_t>(window_.plane_words()), packed_weights_.data(),
+      packed_weights_.groups(), acc_.data());
+  stage().append(std::span<const std::int32_t>(acc_).first(
+      static_cast<std::size_t>(o_count)));
 }
 
 // ---------------------------------------------------------------- PoolKernel

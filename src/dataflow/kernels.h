@@ -64,6 +64,9 @@ inline constexpr std::size_t kDefaultBurst = 256;
 class OutStage {
  public:
   void append(std::int32_t v) { buf_.push_back(v); }
+  void append(std::span<const std::int32_t> vals) {
+    buf_.insert(buf_.end(), vals.begin(), vals.end());
+  }
   [[nodiscard]] bool empty() const { return pos_ == buf_.size(); }
 
   /// Move everything possible into `out`; true when fully flushed. Notes
@@ -265,7 +268,8 @@ class WindowKernel : public Kernel {
 /// Which conv inner datapath ConvKernel uses. kPacked (the default) is the
 /// word-packed incremental path: activations are decomposed into bit-plane
 /// line buffers once as rows stream in, windows are assembled by word
-/// splices, and the O-filter sweep runs through the vec_ops SIMD seam.
+/// splices, and one vec_ops dot_window call per window computes all O
+/// filters, one SIMD lane per filter.
 /// kScalarPack is the original per-window re-pack (BitPlaneWindow::fill),
 /// kept as the bit-exact reference and as a bench ablation arm.
 enum class ConvDatapath { kScalarPack, kPacked };
@@ -279,8 +283,8 @@ void set_conv_datapath(ConvDatapath dp);
 /// activation codes in row-segment bursts, injects padding locally, and on
 /// each completed window emits all O filter responses for that position.
 /// Weights live in the kernel as a packed FilterBank — the on-chip weight
-/// cache of §III-B1a — packed once at construction into a filter-major
-/// word array for the SIMD inner loop.
+/// cache of §III-B1a — packed once at construction into groups of
+/// simd::kFilterLanes word-interleaved filters for the SIMD inner loop.
 class ConvKernel final : public WindowKernel {
  public:
   ConvKernel(const Node& node, const FilterBank& weights, Stream& in,
@@ -305,7 +309,7 @@ class ConvKernel final : public WindowKernel {
   PackedFilters packed_weights_;
   BitPlaneLineBuffer lines_;
   PackedWindow window_;
-  std::vector<std::int64_t> acc_;
+  std::vector<std::int32_t> acc_;  // groups * kFilterLanes window responses
   int packed_row_ = -1;  // highest padded row already entered into lines_
   ConvDatapath datapath_;
 };

@@ -2,8 +2,10 @@
 // datapath (bit-plane line buffers + splice window assembly + vec_ops SIMD
 // sweep) to the plain integer reference reference_pm1_dot, across
 // activation widths 1..8, window lengths chosen to straddle word
-// boundaries (63/64/65/127/129), all-padding windows, strides, multi-image
-// streams, and every SIMD dispatch level available on the host. The
+// boundaries (63/64/65/127/129), all-padding windows, strides, filter
+// counts that fill or overhang the dot's 8-filter groups, the paper
+// networks' first layers, multi-image streams, and every SIMD dispatch
+// level available on the host. The
 // scalar-pack datapath is held to the same reference, so the two datapaths
 // are transitively bit-exact against each other.
 #include <gtest/gtest.h>
@@ -78,12 +80,18 @@ std::vector<std::int32_t> reference_conv(const Node& n, const FilterBank& fb,
 }
 
 /// Run a ConvKernel over `images` streamed back to back and collect every
-/// output value.
+/// output value. The output is drained while the kernel runs, so an image
+/// may produce more values than the output FIFO holds.
 std::vector<std::int32_t> run_conv(const Node& n, const FilterBank& fb,
                                    const std::vector<IntTensor>& images) {
   Stream sin(256, 16, "in");
   Stream sout(256, 32, "out");
   ConvKernel kernel(n, fb, sin, sout);
+  std::vector<std::int32_t> out;
+  std::thread drainer([&] {
+    std::int32_t v = 0;
+    while (sout.pop(v)) out.push_back(v);
+  });
   std::thread feeder([&] {
     for (const auto& img : images) {
       for (std::int64_t i = 0; i < img.size(); ++i) sin.push(img[i]);
@@ -92,9 +100,7 @@ std::vector<std::int32_t> run_conv(const Node& n, const FilterBank& fb,
   });
   kernel.run();
   feeder.join();
-  std::vector<std::int32_t> out;
-  std::int32_t v = 0;
-  while (sout.pop(v)) out.push_back(v);
+  drainer.join();
   return out;
 }
 
@@ -131,6 +137,20 @@ const Geometry kGeometries[] = {
     {{5, 5, 3}, 2, 3, 2, 1},    // strided scan
     {{6, 5, 2}, 3, 2, 2, 0},    // strided, even k, no pad
     {{3, 3, 5}, 2, 3, 1, 0},    // dense: window == whole map
+    // Filter counts around the dot's 8-filter groups: one full group, a
+    // full group plus a 1-lane tail, two groups plus a tail, eight groups.
+    {{4, 5, 3}, 8, 3, 1, 1},
+    {{3, 4, 65}, 9, 1, 1, 0},
+    {{5, 4, 6}, 17, 3, 2, 1},
+    {{4, 4, 16}, 64, 3, 1, 1},
+};
+
+// The paper networks' first layers on small maps, at their 8-bit input:
+// ResNet-18's 7x7 s2 p3 with 64 filters (3 words per plane) and AlexNet's
+// 11x11 s4 p2 with 96 filters (6 words per plane).
+const Geometry kFirstLayers[] = {
+    {{12, 10, 3}, 64, 7, 2, 3},
+    {{19, 15, 3}, 96, 11, 4, 2},
 };
 
 TEST_F(ConvDatapathTest, PackedMatchesReferenceAcrossBitsAndGeometries) {
@@ -164,15 +184,30 @@ TEST_F(ConvDatapathTest, ScalarPackMatchesReferenceAcrossGeometries) {
 }
 
 TEST_F(ConvDatapathTest, PackedMatchesReferenceAtEveryDispatchLevel) {
+  struct Case {
+    Geometry g;
+    int bits;
+  };
+  std::vector<Case> cases;
+  for (const auto& g : kGeometries) {
+    cases.push_back({g, 2});
+    cases.push_back({g, 8});
+  }
+  for (const auto& g : kFirstLayers) cases.push_back({g, 8});
   Rng rng(0xdadc);
-  const Node n = conv_node({4, 5, 65}, 3, 3, 1, 1, 2);
-  const FilterBank fb = FilterBank::random(n.filter_shape(), rng);
-  const IntTensor img = testutil::random_codes(n.in, 2, rng);
-  const auto expect = reference_conv(n, fb, img);
-  for (const simd::Level level : simd::available_levels()) {
-    simd::set_level(level);
-    ASSERT_EQ(run_conv(n, fb, {img}), expect)
-        << "level=" << simd::level_name(level);
+  for (const auto& [g, bits] : cases) {
+    const Node n = conv_node(g.in, g.out_c, g.k, g.stride, g.pad, bits);
+    const FilterBank fb = FilterBank::random(n.filter_shape(), rng);
+    const IntTensor img = testutil::random_codes(g.in, bits, rng);
+    const auto expect = reference_conv(n, fb, img);
+    for (const simd::Level level : simd::available_levels()) {
+      simd::set_level(level);
+      ASSERT_EQ(run_conv(n, fb, {img}), expect)
+          << "level=" << simd::level_name(level) << " bits=" << bits
+          << " in=" << g.in.h << "x" << g.in.w << "x" << g.in.c
+          << " out_c=" << g.out_c << " k=" << g.k << " s=" << g.stride
+          << " p=" << g.pad;
+    }
   }
 }
 
