@@ -6,19 +6,17 @@
 // After the google-benchmark suite, main() runs the host-executor
 // ablation: round-robin pooled vs ready-queue vs ready-queue + pinned
 // workers at equal thread counts, on a shallow (8-kernel) and a deep
-// (>= 50-kernel) chain. Results land in BENCH_executor.json (honouring
-// QNN_CSV_DIR like the other benches) and the exit code enforces the
-// acceptance bars, so `PERF=1 tools/check.sh` can gate on it. Pass
-// `--benchmark_filter=__none__` to skip the microbenchmarks and run the
-// ablation alone.
+// (>= 50-kernel) chain. Results land in BENCH_executor.json (in
+// $QNN_CSV_DIR, else the bench's build directory, like the other benches)
+// and the exit code enforces the acceptance bars, so `PERF=1
+// tools/check.sh` can gate on it. Pass `--benchmark_filter=__none__` to
+// skip the microbenchmarks and run the ablation alone.
 #include <benchmark/benchmark.h>
 
 #include <array>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <optional>
 #include <span>
@@ -26,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "core/bitplanes.h"
 #include "core/simd/vec_ops.h"
 #include "dataflow/engine.h"
@@ -327,14 +326,7 @@ int run_executor_ablation() {
             << "x (bar: >= 0.95), deep " << deep_ratio
             << "x (bar: >= 1.5)\n"
             << js.str();
-  const char* csv_dir = std::getenv("QNN_CSV_DIR");
-  const std::string json_path =
-      (csv_dir != nullptr ? std::string(csv_dir) + "/" : std::string()) +
-      "BENCH_executor.json";
-  std::ofstream jf(json_path);
-  if (jf && (jf << js.str())) {
-    std::cout << "(json written to " << json_path << ")\n";
-  }
+  bench::write_json("BENCH_executor.json", js.str());
   return shallow_ratio >= 0.95 && deep_ratio >= 1.5 ? 0 : 1;
 }
 
@@ -503,14 +495,7 @@ int run_conv_datapath_ablation() {
   std::cout << "packed+simd vs scalar-pack geomean: " << geomean
             << "x (bar: >= " << bar << ")\n"
             << js.str();
-  const char* csv_dir = std::getenv("QNN_CSV_DIR");
-  const std::string json_path =
-      (csv_dir != nullptr ? std::string(csv_dir) + "/" : std::string()) +
-      "BENCH_kernels.json";
-  std::ofstream jf(json_path);
-  if (jf && (jf << js.str())) {
-    std::cout << "(json written to " << json_path << ")\n";
-  }
+  bench::write_json("BENCH_kernels.json", js.str());
   return pass ? 0 : 1;
 }
 

@@ -8,7 +8,6 @@
 //    to BENCH_dataflow.json. Acceptance bar: burst+pooled reaches >= 2x
 //    the pre-refactor scalar thread-per-kernel configuration.
 #include <chrono>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 
@@ -183,13 +182,6 @@ int main() {
   std::cout << "\nburst+pooled speedup vs scalar thread-per-kernel: "
             << Table::num(bar, 2) << "x (acceptance bar: >= 2x)\n\n"
             << dj.str();
-  const char* csv_dir = std::getenv("QNN_CSV_DIR");
-  const std::string json_path =
-      (csv_dir != nullptr ? std::string(csv_dir) + "/" : std::string()) +
-      "BENCH_dataflow.json";
-  std::ofstream jf(json_path);
-  if (jf && (jf << dj.str())) {
-    std::cout << "(json written to " << json_path << ")\n";
-  }
+  bench::write_json("BENCH_dataflow.json", dj.str());
   return bar >= 2.0 ? 0 : 1;
 }

@@ -23,7 +23,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <sstream>
@@ -195,14 +194,7 @@ int run_backends() {
   std::cout << "\nrouted/naive tight-deadline goodput: "
             << Table::num(ratio, 2) << "x (acceptance bar: >= 1.3x)\n\n"
             << json.str();
-  const char* csv_dir = std::getenv("QNN_CSV_DIR");
-  const std::string json_path =
-      (csv_dir != nullptr ? std::string(csv_dir) + "/" : std::string()) +
-      "BENCH_backends.json";
-  std::ofstream jf(json_path);
-  if (jf && (jf << json.str())) {
-    std::cout << "(json written to " << json_path << ")\n";
-  }
+  bench::write_json("BENCH_backends.json", json.str());
   return ratio >= 1.3 ? 0 : 1;
 }
 
@@ -446,14 +438,7 @@ int run_autotune() {
        << ",\n  \"p99_ratio\": " << p99_ratio
        << ",\n  \"pass\": " << (pass ? "true" : "false") << "\n}\n";
   std::cout << "\n" << json.str();
-  const char* csv_dir = std::getenv("QNN_CSV_DIR");
-  const std::string json_path =
-      (csv_dir != nullptr ? std::string(csv_dir) + "/" : std::string()) +
-      "BENCH_autotune.json";
-  std::ofstream jf(json_path);
-  if (jf && (jf << json.str())) {
-    std::cout << "(json written to " << json_path << ")\n";
-  }
+  bench::write_json("BENCH_autotune.json", json.str());
   return no_loss ? 0 : 1;
 }
 
@@ -593,14 +578,7 @@ int run_linkfault() {
             << " (acceptance bar: >= 0.70, zero lost requests, failover "
                "observed)\n\n"
             << json.str();
-  const char* csv_dir = std::getenv("QNN_CSV_DIR");
-  const std::string json_path =
-      (csv_dir != nullptr ? std::string(csv_dir) + "/" : std::string()) +
-      "BENCH_linkfault.json";
-  std::ofstream jf(json_path);
-  if (jf && (jf << json.str())) {
-    std::cout << "(json written to " << json_path << ")\n";
-  }
+  bench::write_json("BENCH_linkfault.json", json.str());
   return ratio >= 0.70 && no_loss && failover_seen ? 0 : 1;
 }
 
@@ -772,14 +750,7 @@ int run() {
   std::cout << "\ndegraded/healthy throughput: " << Table::num(ratio, 2)
             << " (acceptance bar: >= 0.70)\n\n"
             << rj.str();
-  const char* csv_dir = std::getenv("QNN_CSV_DIR");
-  const std::string json_path =
-      (csv_dir != nullptr ? std::string(csv_dir) + "/" : std::string()) +
-      "BENCH_robustness.json";
-  std::ofstream jf(json_path);
-  if (jf && (jf << rj.str())) {
-    std::cout << "(json written to " << json_path << ")\n";
-  }
+  bench::write_json("BENCH_robustness.json", rj.str());
   const int backends_rc = run_backends();
   const int autotune_rc = run_autotune();
   const int linkfault_rc = run_linkfault();

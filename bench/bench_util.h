@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdlib>
+#include <fstream>
 #include <iostream>
 #include <string>
 
@@ -28,6 +29,21 @@ inline void emit(const Table& t, const std::string& name) {
   const std::string path = std::string(dir) + "/" + name + ".csv";
   if (t.save_csv(path)) {
     std::cout << "(csv written to " << path << ")\n";
+  } else {
+    std::cout << "(could not write " << path << ")\n";
+  }
+}
+
+/// Save a BENCH_*.json result as $QNN_CSV_DIR/<file>, or, when that is
+/// unset, in the bench's own build directory, so a run from the repository
+/// root never overwrites a committed baseline. Reports where it went.
+inline void write_json(const std::string& file, const std::string& json) {
+  const char* dir = std::getenv("QNN_CSV_DIR");
+  const std::string path =
+      std::string(dir != nullptr ? dir : QNN_BENCH_BUILD_DIR) + "/" + file;
+  std::ofstream jf(path);
+  if (jf && (jf << json)) {
+    std::cout << "(json written to " << path << ")\n";
   } else {
     std::cout << "(could not write " << path << ")\n";
   }

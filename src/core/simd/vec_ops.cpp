@@ -49,8 +49,28 @@ void dot_window_scalar(const Word* planes, int plane_count, std::size_t n,
   }
 }
 
+/// The reference: one value at a time, every comparison counted.
+void threshold_codes_scalar(const ThresholdRows& table, const std::int32_t* in,
+                            std::size_t n, std::size_t phase,
+                            std::int32_t* out) {
+  QNN_DCHECK(phase < table.channels, "threshold phase out of range");
+  const std::size_t stride = table.stride();
+  std::size_t c = phase;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto v = static_cast<std::int32_t>(
+        static_cast<std::uint32_t>(table.sign[c]) *
+        static_cast<std::uint32_t>(in[i]));
+    std::int32_t code = 0;
+    for (std::size_t a = 0; a < table.levels; ++a) {
+      code += v >= table.t[a * stride + c] ? 1 : 0;
+    }
+    out[i] = code;
+    c = c + 1 == table.channels ? 0 : c + 1;
+  }
+}
+
 constexpr VecOps kScalarOps{Level::kScalar, "scalar", popcount_scalar,
-                            dot_window_scalar};
+                            dot_window_scalar, threshold_codes_scalar};
 
 // ---------------------------------------------------------------- dispatch
 

@@ -1,4 +1,5 @@
-// Runtime-dispatched word-vector primitives behind the packed conv datapath.
+// Runtime-dispatched vector primitives behind the packed conv datapath and
+// the BnAct threshold unit.
 //
 // The layering follows the vec_ops/vec_dot split used by ggml's QNN NPU
 // device code: a scalar implementation defines the semantics and stays the
@@ -35,11 +36,30 @@ inline constexpr std::size_t kFilterLanes = 8;
 /// Widest activation dot_window accepts, in bit-planes.
 inline constexpr int kMaxPlanes = 16;
 
+/// Values per threshold_codes vector step: one AVX-512 register of int32.
+inline constexpr std::size_t kThresholdLanes = 16;
+
+/// A channel-transposed threshold table as threshold_codes reads it. Each
+/// row is channel-periodic and `channels + kThresholdLanes - 1` entries
+/// long (entry k holds channel k mod channels), so kThresholdLanes values
+/// starting at any channel phase read one contiguous span of every row.
+struct ThresholdRows {
+  const std::int32_t* t;     // [levels][stride]: ascending per channel
+  const std::int32_t* sign;  // [stride]: +1, -1, or 0 (constant channel)
+  std::size_t channels;
+  std::size_t levels;        // 2^n - 1 comparisons per value
+
+  [[nodiscard]] std::size_t stride() const {
+    return channels + kThresholdLanes - 1;
+  }
+};
+
 [[nodiscard]] const char* level_name(Level level);
 
-/// One implementation of the word-granular kernels. All functions treat
-/// their operands as plain arrays of `n` 64-bit words; tail masking is the
-/// caller's job (operands keep the BitVector tail-bits-zero invariant).
+/// One implementation of the vector kernels. The word kernels (popcount,
+/// dot_window) treat their operands as plain arrays of `n` 64-bit words;
+/// tail masking is the caller's job (operands keep the BitVector
+/// tail-bits-zero invariant). threshold_codes masks its own tail.
 struct VecOps {
   Level level;
   const char* name;
@@ -59,6 +79,16 @@ struct VecOps {
   /// nothing is summed across lanes.
   void (*dot_window)(const Word* planes, int plane_count, std::size_t n,
                      const Word* w, std::size_t groups, std::int32_t* out);
+
+  /// The threshold unit of §III-B3, one vector lane per value: for every
+  /// i < n, with c = (phase + i) mod table.channels,
+  ///   out[i] = #{alpha < levels : sign[c]*in[i] >= t[alpha*stride + c]}
+  /// (the product wraps in 32 bits). The count equals the binary search
+  /// over the ascending thresholds, computed with no data-dependent
+  /// branch. Requires phase < channels; handles any n, tail included.
+  void (*threshold_codes)(const ThresholdRows& table, const std::int32_t* in,
+                          std::size_t n, std::size_t phase,
+                          std::int32_t* out);
 };
 
 /// Levels compiled into this binary AND usable on this CPU, ascending.

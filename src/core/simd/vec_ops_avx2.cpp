@@ -135,8 +135,57 @@ void dot_window_avx2(const Word* planes, int plane_count, std::size_t n,
                                                                 groups, out);
 }
 
+/// Codes of 8 values whose first lane sits at channel phase c: vpsignd
+/// applies the {+1, -1, 0} channel multiplier, and each level adds its
+/// compare mask (-1 where the threshold lies above the value), so levels
+/// plus the sum is #{t <= v}.
+__attribute__((target("avx2"))) inline __m256i threshold_block(
+    const ThresholdRows& table, __m256i in, std::size_t c) {
+  const __m256i v = _mm256_sign_epi32(
+      in, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(table.sign + c)));
+  __m256i above = _mm256_setzero_si256();
+  const std::int32_t* t = table.t + c;
+  for (std::size_t a = 0; a < table.levels; ++a, t += table.stride()) {
+    above = _mm256_add_epi32(
+        above, _mm256_cmpgt_epi32(
+                   _mm256_loadu_si256(reinterpret_cast<const __m256i*>(t)), v));
+  }
+  return _mm256_add_epi32(
+      _mm256_set1_epi32(static_cast<std::int32_t>(table.levels)), above);
+}
+
+/// threshold_codes, 8 values per ymm; the tail block loads and stores
+/// under a lane mask.
+__attribute__((target("avx2"))) void threshold_codes_avx2(
+    const ThresholdRows& table, const std::int32_t* in, std::size_t n,
+    std::size_t phase, std::int32_t* out) {
+  QNN_DCHECK(phase < table.channels, "threshold phase out of range");
+  constexpr std::size_t kLanes = 8;
+  const std::size_t step = kLanes % table.channels;
+  std::size_t c = phase;
+  std::size_t i = 0;
+  for (; i + kLanes <= n; i += kLanes) {
+    _mm256_storeu_si256(
+        reinterpret_cast<__m256i*>(out + i),
+        threshold_block(table,
+                        _mm256_loadu_si256(
+                            reinterpret_cast<const __m256i*>(in + i)),
+                        c));
+    c += step;
+    if (c >= table.channels) c -= table.channels;
+  }
+  if (i < n) {
+    const __m256i live = _mm256_cmpgt_epi32(
+        _mm256_set1_epi32(static_cast<std::int32_t>(n - i)),
+        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+    _mm256_maskstore_epi32(
+        out + i, live,
+        threshold_block(table, _mm256_maskload_epi32(in + i, live), c));
+  }
+}
+
 constexpr VecOps kAvx2Ops{Level::kAvx2, "avx2", popcount_avx2,
-                          dot_window_avx2};
+                          dot_window_avx2, threshold_codes_avx2};
 
 }  // namespace
 

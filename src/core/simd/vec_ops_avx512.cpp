@@ -2,7 +2,8 @@
 // popcount bandwidth is the whole game for binary conv, per FINN/XNORBIN.
 // dot_window gives each of the 8 lanes of a zmm its own filter, so a group
 // of 8 filters is one load per weight word and no horizontal sum is ever
-// needed. The popcount tail uses a masked load; its horizontal sum avoids
+// needed; threshold_codes gives each of 16 lanes its own value. The
+// popcount tail uses a masked load; its horizontal sum avoids
 // _mm512_reduce_add_epi64, whose gcc-12 header trips -Wuninitialized under
 // -Werror.
 #include "core/simd/vec_ops_impl.h"
@@ -105,10 +106,42 @@ void dot_window_avx512(const Word* planes, int plane_count, std::size_t n,
                                                                 groups, out);
 }
 
+/// threshold_codes, 16 values per zmm: the block's channel phase picks one
+/// contiguous 16-entry span of every table row, so each comparison level
+/// is a load, a compare into a mask and a masked increment. The tail block
+/// is the same code under a lane mask.
+__attribute__((QNN_AVX512_TARGET)) void threshold_codes_avx512(
+    const ThresholdRows& table, const std::int32_t* in, std::size_t n,
+    std::size_t phase, std::int32_t* out) {
+  QNN_DCHECK(phase < table.channels, "threshold phase out of range");
+  const std::size_t stride = table.stride();
+  const std::size_t step = kThresholdLanes % table.channels;
+  const __m512i one = _mm512_set1_epi32(1);
+  std::size_t c = phase;
+  for (std::size_t i = 0; i < n; i += kThresholdLanes) {
+    const __mmask16 live =
+        n - i >= kThresholdLanes
+            ? static_cast<__mmask16>(0xffff)
+            : static_cast<__mmask16>((1u << (n - i)) - 1u);
+    const __m512i v =
+        _mm512_mullo_epi32(_mm512_loadu_si512(table.sign + c),
+                           _mm512_maskz_loadu_epi32(live, in + i));
+    __m512i code = _mm512_setzero_si512();
+    const std::int32_t* t = table.t + c;
+    for (std::size_t a = 0; a < table.levels; ++a, t += stride) {
+      code = _mm512_mask_add_epi32(
+          code, _mm512_cmpge_epi32_mask(v, _mm512_loadu_si512(t)), code, one);
+    }
+    _mm512_mask_storeu_epi32(out + i, live, code);
+    c += step;
+    if (c >= table.channels) c -= table.channels;
+  }
+}
+
 #undef QNN_AVX512_TARGET
 
 constexpr VecOps kAvx512Ops{Level::kAvx512, "avx512", popcount_avx512,
-                            dot_window_avx512};
+                            dot_window_avx512, threshold_codes_avx512};
 
 }  // namespace
 

@@ -278,31 +278,13 @@ BnActKernel::BnActKernel(const Node& node, const ThresholdLayer& thresholds,
                          Stream& in, Stream& out, std::size_t burst)
     : Kernel(node.name),
       node_(node),
-      thresholds_(thresholds),
+      table_(thresholds),
       in_(in),
       out_(out),
       in_burst_(burst) {
   QNN_CHECK(node.kind == NodeKind::BnAct, "BnActKernel needs a BnAct node");
   QNN_CHECK(thresholds.channels() == node.in.c,
             "threshold bank channel count mismatch");
-  // Small preactivation domain: tabulate the staircase per channel once
-  // (<= 256 entries/channel) so the steady state is one indexed load per
-  // value. Built from the binary-search path itself, so it is bit-exact by
-  // construction.
-  if (node.in_bits <= 8) {
-    lut_size_ = std::int32_t{1} << node.in_bits;
-    lut_bias_ = lut_size_ / 2;
-    lut_.resize(static_cast<std::size_t>(node.in.c) *
-                static_cast<std::size_t>(lut_size_));
-    for (int c = 0; c < node.in.c; ++c) {
-      for (std::int32_t idx = 0; idx < lut_size_; ++idx) {
-        lut_[static_cast<std::size_t>(c) *
-                 static_cast<std::size_t>(lut_size_) +
-             static_cast<std::size_t>(idx)] =
-            thresholds.at(c).eval_binary_search(idx - lut_bias_);
-      }
-    }
-  }
 }
 
 void BnActKernel::reset() {
@@ -318,7 +300,6 @@ void BnActKernel::bind_ready(ReadyHook* hook, int task) {
 
 StepResult BnActKernel::step() {
   if (!stage_.flush(out_)) return StepResult::kBlocked;
-  const int c = node_.in.c;
   bool progressed = false;
   for (int round = 0; round < kRoundsPerStep; ++round) {
     const std::size_t n = in_burst_.refill(in_);
@@ -329,30 +310,11 @@ StepResult BnActKernel::step() {
       }
       return progressed ? StepResult::kProgress : StepResult::kBlocked;
     }
-    // Map the whole burst through the threshold staircase, carrying the
-    // channel phase across burst boundaries. Narrow domains go through the
-    // per-channel direct table (§III-B3's BRAM LUT); anything outside the
-    // table — or a wide domain — takes the binary search over the 2^n
-    // ranges, which is bit-identical.
-    if (lut_size_ != 0) {
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::int32_t a = in_burst_.next();
-        const std::int64_t idx = static_cast<std::int64_t>(a) + lut_bias_;
-        stage_.append(
-            idx >= 0 && idx < lut_size_
-                ? lut_[static_cast<std::size_t>(ch_) *
-                           static_cast<std::size_t>(lut_size_) +
-                       static_cast<std::size_t>(idx)]
-                : thresholds_.at(ch_).eval_binary_search(a));
-        ch_ = ch_ + 1 == c ? 0 : ch_ + 1;
-      }
-    } else {
-      for (std::size_t i = 0; i < n; ++i) {
-        stage_.append(
-            thresholds_.at(ch_).eval_binary_search(in_burst_.next()));
-        ch_ = ch_ + 1 == c ? 0 : ch_ + 1;
-      }
-    }
+    // Map the whole burst through the threshold unit in one call, carrying
+    // the channel phase across burst boundaries.
+    simd::vec_ops().threshold_codes(table_.rows(), in_burst_.take(n).data(),
+                                    n, ch_, stage_.extend(n).data());
+    ch_ = (ch_ + n) % static_cast<std::size_t>(node_.in.c);
     progressed = true;
     if (!stage_.flush(out_)) return StepResult::kBlocked;
   }
@@ -406,9 +368,10 @@ StepResult AddKernel::step() {
               name() + ": skip stream ended before main");
     const std::size_t n = std::min(na, nb);
     if (n == 0) return progressed ? StepResult::kProgress : StepResult::kBlocked;
-    for (std::size_t i = 0; i < n; ++i) {
-      stage_.append(main_burst_.next() + skip_burst_.next());
-    }
+    const auto regular = main_burst_.take(n);
+    const auto skip = skip_burst_.take(n);
+    const auto sum = stage_.extend(n);
+    for (std::size_t i = 0; i < n; ++i) sum[i] = regular[i] + skip[i];
     progressed = true;
     if (!stage_.flush(out_)) return StepResult::kBlocked;
   }

@@ -17,12 +17,13 @@
 //     kernels, so a 70-kernel pipeline no longer oversubscribes the host.
 //
 // Data moves in bursts end to end: a kernel pops a burst of input values,
-// transforms it (BnAct maps the whole burst through the threshold
-// staircase; Conv/Pool ingest row segments at a time and emit all O filter
-// responses per completed window position), stages the results, and
-// flushes them with one ring transaction. Blocked-episode accounting
-// (Stream::note_*_stall) fires once per continuous blocked period, so the
-// stall counters keep their pre-burst meaning.
+// transforms it (BnAct maps the whole burst through the threshold unit in
+// one SIMD call; Add sums a burst pair in one loop; Conv/Pool ingest row
+// segments at a time and emit all O filter responses per completed window
+// position), stages the results, and flushes them with one ring
+// transaction. Blocked-episode accounting (Stream::note_*_stall) fires
+// once per continuous blocked period, so the stall counters keep their
+// pre-burst meaning.
 //
 // All kernels process an unbounded sequence of images and terminate when
 // their input stream is closed at an image boundary.
@@ -66,6 +67,12 @@ class OutStage {
   void append(std::int32_t v) { buf_.push_back(v); }
   void append(std::span<const std::int32_t> vals) {
     buf_.insert(buf_.end(), vals.begin(), vals.end());
+  }
+  /// Stage `n` values written in place: the returned span is the new tail
+  /// of the stage, for a kernel to fill with a whole burst at once.
+  [[nodiscard]] std::span<std::int32_t> extend(std::size_t n) {
+    buf_.resize(buf_.size() + n);
+    return std::span<std::int32_t>(buf_).last(n);
   }
   [[nodiscard]] bool empty() const { return pos_ == buf_.size(); }
 
@@ -139,6 +146,14 @@ class InBurst {
   [[nodiscard]] std::span<const std::int32_t> view(std::size_t n) const {
     QNN_DCHECK(n <= len_ - pos_, "burst view overrun");
     return std::span<const std::int32_t>(buf_).subspan(pos_, n);
+  }
+
+  /// Consume the next `n` buffered values at once (n <= available()); the
+  /// span stays valid until the next refill.
+  [[nodiscard]] std::span<const std::int32_t> take(std::size_t n) {
+    const auto run = view(n);
+    pos_ += n;
+    return run;
   }
 
   /// Discard buffered values (between engine runs / after an aborted run).
@@ -332,12 +347,12 @@ class PoolKernel final : public WindowKernel {
 };
 
 /// Folded BatchNorm + n-bit activation kernel (§III-B3): maps each input
-/// burst through the per-channel threshold staircase, carrying the channel
-/// phase across bursts. When the preactivation domain is small
-/// (node.in_bits <= 8, i.e. <= 256 codes), the staircase is tabulated once
-/// per channel at construction and each value becomes one indexed load —
-/// the BRAM-LUT realization of §III-B3; wider domains (and out-of-table
-/// inputs) fall back to the binary search, which stays bit-identical.
+/// burst through the per-channel threshold staircase with one
+/// VecOps::threshold_codes call, carrying the channel phase across bursts.
+/// The thresholds are laid out once, at construction, as a
+/// channel-transposed ThresholdTable, so the host threshold unit is the
+/// paper's parallel comparator bank — one compare per level per value,
+/// counted with no data-dependent branch.
 class BnActKernel final : public Kernel {
  public:
   BnActKernel(const Node& node, const ThresholdLayer& thresholds, Stream& in,
@@ -346,20 +361,14 @@ class BnActKernel final : public Kernel {
   void reset() override;
   void bind_ready(ReadyHook* hook, int task) override;
 
-  /// True when the direct-lookup path is active (exposed for tests).
-  [[nodiscard]] bool uses_lut() const { return lut_size_ != 0; }
-
  private:
   const Node& node_;
-  const ThresholdLayer& thresholds_;
+  const ThresholdTable table_;
   Stream& in_;
   Stream& out_;
   InBurst in_burst_;
   OutStage stage_;
-  int ch_ = 0;
-  std::int32_t lut_size_ = 0;  // 0 = binary-search path
-  std::int32_t lut_bias_ = 0;  // table index = value + bias
-  std::vector<std::int32_t> lut_;  // channel-major [ch * lut_size_ + idx]
+  std::size_t ch_ = 0;  // channel of the next input value
 };
 
 /// Skip-connection adder (§III-B5, Figure 2): sums the regular path with

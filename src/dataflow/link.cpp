@@ -238,6 +238,11 @@ bool MaxRingLink::dead() const {
   return dead_;
 }
 
+std::string MaxRingLink::dead_reason() const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  return dead_reason_;
+}
+
 LinkStats MaxRingLink::stats() const {
   const std::lock_guard<std::mutex> lock(mu_);
   return stats_;

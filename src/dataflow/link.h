@@ -150,6 +150,9 @@ class MaxRingLink {
   void abort();
 
   [[nodiscard]] bool dead() const;
+  /// Which watchdog declared the link dead (empty while it is alive): the
+  /// ack budget, the receiver's patience, or the flow-control patience.
+  [[nodiscard]] std::string dead_reason() const;
   [[nodiscard]] LinkStats stats() const;
   [[nodiscard]] const std::string& name() const { return config_.name; }
 

@@ -219,14 +219,15 @@ struct LinkedEngine::Impl {
   }
 
   /// One execution attempt over the not-yet-done images. Returns the
-  /// physical ordinal of the link that died (failover required), or -1
+  /// physical ordinal of the link that died (failover required) and sets
+  /// `dead_reason` to the trigger its watchdog reported, or returns -1
   /// when every pending image completed. Throws on cancellation and on
   /// non-link errors.
   int run_attempt(const std::vector<std::size_t>& pending,
                   std::span<const IntTensor> images,
                   std::vector<IntTensor>& outputs, std::vector<char>& done,
                   StreamEngine::RunStats& agg, std::uint64_t& frames,
-                  std::uint64_t& retrans) {
+                  std::uint64_t& retrans, std::string& dead_reason) {
     std::vector<StreamEngine*> engines;
     std::vector<Impl::Segment*> seg_ptrs;
     std::vector<std::unique_ptr<MaxRingLink>> links;
@@ -326,7 +327,10 @@ struct LinkedEngine::Impl {
       const LinkStats st = links[k]->stats();
       frames += st.frames_delivered;
       retrans += st.retransmits;
-      if (dead < 0 && st.dead) dead = static_cast<int>(k);
+      if (dead < 0 && st.dead) {
+        dead = static_cast<int>(k);
+        dead_reason = links[k]->dead_reason();
+      }
     }
     {
       const std::lock_guard<std::mutex> lock(rt_mu);
@@ -409,16 +413,17 @@ std::vector<IntTensor> LinkedEngine::run(std::span<const IntTensor> images,
       if (done[i] == 0) pending.push_back(i);
     }
     if (pending.empty()) break;
-    const int dead =
-        im.run_attempt(pending, images, outputs, done, agg, frames, retrans);
+    std::string why;
+    const int dead = im.run_attempt(pending, images, outputs, done, agg,
+                                    frames, retrans, why);
     if (dead < 0) continue;  // attempt completed; loop exits via pending
     // Permanent link death: derate, recompile a degraded plan, and replay
     // the images this attempt did not finish — zero lost work.
     im.link_health[static_cast<std::size_t>(dead)] = 0.0;
     ++failovers_this_run;
     im.failovers_total.fetch_add(1, std::memory_order_relaxed);
-    im.event("link" + std::to_string(dead) +
-             " escalated to dead; failing over");
+    im.event("link" + std::to_string(dead) + " escalated to dead (" + why +
+             "); failing over");
     im.failover(dead);
   }
   const double wall =

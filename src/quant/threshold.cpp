@@ -108,4 +108,31 @@ ThresholdLayer ThresholdLayer::fold(const BnLayerParams& bn,
   return layer;
 }
 
+ThresholdTable::ThresholdTable(const ThresholdLayer& layer)
+    : channels_(static_cast<std::size_t>(layer.channels())),
+      levels_((std::size_t{1} << layer.bits()) - 1) {
+  QNN_CHECK(channels_ >= 1, "threshold table needs at least one channel");
+  const std::size_t stride = channels_ + simd::kThresholdLanes - 1;
+  t_.resize(levels_ * stride);
+  sign_.resize(stride);
+  for (std::size_t k = 0; k < stride; ++k) {
+    const ThresholdActivation& ch = layer.at(static_cast<int>(k % channels_));
+    QNN_CHECK(ch.bits() == layer.bits(),
+              "threshold layer mixes activation widths");
+    QNN_CHECK(ch.is_constant() || ch.thresholds().size() == levels_,
+              "threshold count does not match the activation width");
+    sign_[k] = ch.sign();
+    for (std::size_t a = 0; a < levels_; ++a) {
+      std::int32_t& t = t_[a * stride + k];
+      if (!ch.is_constant()) {
+        t = ch.thresholds()[a];
+      } else if (static_cast<std::int32_t>(a) < ch.constant_code()) {
+        t = std::numeric_limits<std::int32_t>::min();
+      } else {
+        t = std::numeric_limits<std::int32_t>::max();
+      }
+    }
+  }
+}
+
 }  // namespace qnn

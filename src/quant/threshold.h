@@ -9,14 +9,16 @@
 // T_alpha = tau + alpha * Delta are derived. The hardware evaluates the code
 // with an n-deep binary search (an n-input comparator + 2^n -> 1 mux).
 //
-// This module performs the folding and provides a bit-exact software
-// evaluation used both by the golden reference executor and the dataflow
-// kernels, so the two engines agree by construction.
+// This module performs the folding, provides the bit-exact scalar
+// evaluation the golden reference executor uses, and lays a layer's
+// thresholds out once as the table the dataflow kernel's SIMD
+// compare-count path reads (ThresholdTable); tests pin the two together.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "core/simd/vec_ops.h"
 #include "quant/batchnorm.h"
 #include "quant/quantizer.h"
 
@@ -99,6 +101,27 @@ class ThresholdLayer {
 
  private:
   std::vector<ThresholdActivation> per_channel_;
+};
+
+/// A layer's thresholds laid out once for VecOps::threshold_codes: rows of
+/// the 2^n - 1 comparison levels, channel-transposed and channel-periodic
+/// (simd::ThresholdRows), with the BatchNorm slope's sign folded into a
+/// per-channel multiplier. A constant channel gets multiplier 0 and
+/// sentinel thresholds — INT32_MIN below its code, INT32_MAX from it on —
+/// so #{alpha : 0 >= T_alpha} is exactly constant_code().
+class ThresholdTable {
+ public:
+  explicit ThresholdTable(const ThresholdLayer& layer);
+
+  [[nodiscard]] simd::ThresholdRows rows() const {
+    return {t_.data(), sign_.data(), channels_, levels_};
+  }
+
+ private:
+  std::size_t channels_;
+  std::size_t levels_;
+  std::vector<std::int32_t> t_;     // [levels][channels + lanes - 1]
+  std::vector<std::int32_t> sign_;  // [channels + lanes - 1]
 };
 
 }  // namespace qnn

@@ -545,6 +545,53 @@ TEST(FaultLink, LinkedEngineHealsSeededLinkChaosMidRunBitExact) {
   EXPECT_TRUE(engine.link_healthy(0));
 }
 
+TEST(FaultLink, UpstreamStallPastAckTimeoutDoesNotFailOver) {
+  // A slow upstream segment is not a broken wire. Stall segment 0's
+  // output stream (the one feeding the MaxRing link) for far longer than
+  // the ack timeout but well inside the receiver's patience: acks are
+  // taken at arrival, so no watchdog may fire, no failover may happen, and
+  // every output stays bit-exact.
+  const TinyNet net;
+  const std::string upstream_out = net.pipeline.node(1).name + "->output";
+  LinkedEngineOptions opts;
+  opts.cut_after_nodes = {1};
+  opts.ack_timeout_us = 1'000;
+  opts.engine.faults.add(FaultPlan::stall(upstream_out, /*run=*/0,
+                                          /*value_index=*/2,
+                                          /*attempts=*/100));
+  std::vector<std::string> timeline;
+  opts.on_event = [&timeline](const std::string& what) {
+    timeline.push_back(what);
+  };
+  LinkedEngine engine(net.pipeline, net.params, opts);
+  ASSERT_EQ(engine.links(), 1);
+
+  const ReferenceExecutor ref = net.reference();
+  const std::vector<IntTensor> images = net.batch(3, 23);
+  const auto t0 = std::chrono::steady_clock::now();
+  StreamEngine::RunStats stats;
+  const std::vector<IntTensor> out =
+      engine.run(std::span<const IntTensor>(images), &stats);
+  const auto stalled_us =
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count();
+  EXPECT_EQ(stats.faults_injected, 1u) << "the stall must have fired";
+  EXPECT_GT(stalled_us, 10 * opts.ack_timeout_us)
+      << "the stall must outlast the ack timeout many times over";
+  EXPECT_LT(stalled_us, LinkConfig{}.recv_patience_us)
+      << "the stall must stay inside the receiver's patience";
+  ASSERT_EQ(out.size(), images.size());
+  for (std::size_t i = 0; i < images.size(); ++i) {
+    EXPECT_EQ(out[i], ref.run(images[i])) << "image " << i;
+  }
+  EXPECT_EQ(stats.link_failovers, 0u);
+  EXPECT_EQ(stats.link_retransmits, 0u);
+  EXPECT_EQ(engine.plan_failovers(), 0u);
+  EXPECT_TRUE(engine.link_healthy(0));
+  EXPECT_TRUE(timeline.empty()) << timeline.front();
+}
+
 // ---- serving-layer healing -----------------------------------------------
 
 TEST(FaultServe, BatchIsolationSavesTheInnocentRequests) {

@@ -278,85 +278,62 @@ TEST(BnActKernelTest, PerChannelThresholdsInDepthFirstOrder) {
   EXPECT_EQ(out[3], 3);  // 7 >= 6
 }
 
-TEST(BnActKernelTest, LutPathBitExactOverAllCodesAndChannels) {
-  // in_bits = 6: the kernel tabulates the staircase (64 entries/channel).
-  // Stream every representable preactivation through every channel —
-  // including a negated-slope channel and a degenerate constant channel —
-  // and require bit-identity with the binary-search path.
-  Node n;
-  n.kind = NodeKind::BnAct;
-  n.name = "bnact_lut";
-  n.in = n.out = Shape{1, 64, 3};
-  n.in_bits = 6;
-  n.out_bits = 2;
-  n.param = 0;
-
-  BnLayerParams bn(3);
-  bn.at(1).gamma = -0.7f;  // negative slope
-  bn.at(1).beta = 1.3f;
-  bn.at(2).gamma = 0.0f;  // constant channel
-  const ActQuantizer q(2, 2.0);
-  const ThresholdLayer thresholds = ThresholdLayer::fold(bn, q);
-  ASSERT_TRUE(thresholds.at(2).is_constant());
-
-  Stream sin(512, 8, "in");
-  Stream sout(512, 2, "out");
-  BnActKernel kernel(n, thresholds, sin, sout);
-  ASSERT_TRUE(kernel.uses_lut());
-
-  std::vector<std::int32_t> expect;
-  std::thread feeder([&] {
-    for (std::int32_t a = -32; a < 32; ++a) {
-      for (int c = 0; c < 3; ++c) sin.push(a);
+TEST(BnActKernelTest, PhaseCarriesAcrossBurstBoundaries) {
+  // Each burst is mapped with one threshold_codes call starting at the
+  // channel phase the previous burst left behind. Burst sizes around the
+  // 8- and 16-lane blocks, on channel counts below and above one vector,
+  // with positive, negative and zero (constant) slopes and preactivations
+  // past the folded thresholds: every value must match the per-channel
+  // binary search at every SIMD level.
+  for (const int channels : {3, 64}) {
+    BnLayerParams bn(channels);
+    Rng rng(static_cast<std::uint64_t>(channels));
+    for (int c = 0; c < channels; ++c) {
+      BnParams& p = bn.at(c);
+      const float mag = 0.05f + 0.5f * rng.next_float();
+      p.gamma = c % 4 == 2 ? 0.0f : (c % 2 == 1 ? -mag : mag);
+      p.beta = 3.0f * rng.next_float();
+      p.mu = 40.0f * (rng.next_float() - 0.5f);
     }
-    sin.close();
-  });
-  for (std::int32_t a = -32; a < 32; ++a) {
-    for (int c = 0; c < 3; ++c) {
-      expect.push_back(thresholds.at(c).eval_binary_search(a));
+    const ThresholdLayer thresholds =
+        ThresholdLayer::fold(bn, ActQuantizer(2, 1.0));
+    Node n;
+    n.kind = NodeKind::BnAct;
+    n.name = "bnact_phase";
+    n.in = n.out = Shape{1, 37, channels};
+    n.in_bits = 16;
+    n.out_bits = 2;
+    n.param = 0;
+    std::vector<std::int32_t> in;
+    std::vector<std::int32_t> expect;
+    for (int x = 0; x < n.in.w; ++x) {
+      for (int c = 0; c < channels; ++c) {
+        const auto a = static_cast<std::int32_t>(
+            x % 9 == 4 ? (x % 2 == 0 ? 100000 : -100000)
+                       : rng.next_int(-60, 60));
+        in.push_back(a);
+        expect.push_back(thresholds.at(c).eval_binary_search(a));
+      }
     }
+    for (const simd::Level level : simd::available_levels()) {
+      simd::set_level(level);
+      for (const std::size_t burst :
+           {std::size_t{1}, std::size_t{7}, std::size_t{16}, std::size_t{17},
+            std::size_t{256}}) {
+        // Stage the whole input first so every pop returns a full burst.
+        Stream sin(in.size(), 32, "in");
+        Stream sout(in.size(), 2, "out");
+        for (const std::int32_t a : in) sin.push(a);
+        sin.close();
+        BnActKernel kernel(n, thresholds, sin, sout, burst);
+        kernel.run();
+        EXPECT_EQ(drain(sout), expect)
+            << simd::level_name(level) << " C=" << channels
+            << " burst=" << burst;
+      }
+    }
+    simd::set_level(std::nullopt);
   }
-  kernel.run();
-  feeder.join();
-  EXPECT_EQ(drain(sout), expect);
-}
-
-TEST(BnActKernelTest, LutFallsBackOutsideTableAndGatesOnWidth) {
-  // Out-of-table preactivations (|a| beyond the in_bits domain) must take
-  // the binary-search fallback; wide domains (> 8 bits) skip the LUT
-  // entirely. Both stay bit-identical to the search.
-  BnLayerParams bn(1);
-  const ActQuantizer q(2, 2.0);
-  const ThresholdLayer thresholds = ThresholdLayer::fold(bn, q);
-
-  Node n;
-  n.kind = NodeKind::BnAct;
-  n.name = "bnact_oob";
-  n.in = n.out = Shape{1, 3, 1};
-  n.in_bits = 4;  // table covers [-8, 8)
-  n.out_bits = 2;
-  n.param = 0;
-  Stream sin(32, 8, "in");
-  Stream sout(32, 2, "out");
-  BnActKernel kernel(n, thresholds, sin, sout);
-  ASSERT_TRUE(kernel.uses_lut());
-  std::thread feeder([&] {
-    for (std::int32_t a : {100, -100, 7}) sin.push(a);
-    sin.close();
-  });
-  kernel.run();
-  feeder.join();
-  const auto out = drain(sout);
-  const auto& t = thresholds.at(0);
-  EXPECT_EQ(out, (std::vector<std::int32_t>{t.eval_binary_search(100),
-                                            t.eval_binary_search(-100),
-                                            t.eval_binary_search(7)}));
-
-  n.in_bits = 16;
-  Stream sin2(32, 16, "in2");
-  Stream sout2(32, 2, "out2");
-  BnActKernel wide(n, thresholds, sin2, sout2);
-  EXPECT_FALSE(wide.uses_lut());
 }
 
 TEST(AddKernelTest, SumsAndPropagatesClose) {
