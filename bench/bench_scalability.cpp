@@ -3,10 +3,10 @@
 //    ResNet-18 estimate is ~1.85e6 clocks, matching 16.1 ms @105 MHz);
 //  * the Stratix 10 projection (5x clock -> 3-4 ms per image);
 //  * frames-per-second for every workload (§V claims >60 fps everywhere);
-//  * host StreamEngine transport/executor ablation: scalar vs burst
-//    streams crossed with thread-per-kernel vs pooled execution, written
-//    to BENCH_dataflow.json. Acceptance bar: burst+pooled reaches >= 2x
-//    the pre-refactor scalar thread-per-kernel configuration.
+//  * host StreamEngine transport ablation: scalar (burst 1) vs burst 256
+//    stream transactions on the ready-queue executor, written to
+//    BENCH_dataflow.json. Acceptance bar: burst 256 reaches >= 2x scalar
+//    transport.
 #include <chrono>
 #include <iostream>
 #include <sstream>
@@ -82,15 +82,12 @@ int main() {
   }
   g.print(std::cout);
 
-  bench::heading("Host dataflow engine — transport and executor ablation",
+  bench::heading("Host dataflow engine — transport ablation",
                  "per-image (serving-style) images/s of the software "
-                 "StreamEngine: scalar vs burst stream transport crossed "
-                 "with thread-per-kernel vs pooled cooperative execution. "
-                 "Each run() carries one image, as in the inference server; "
-                 "thread-per-kernel pays one OS thread spawn per kernel per "
-                 "run, the pooled executor pays one. Acceptance bar: "
-                 "burst+pooled >= 2x the scalar thread-per-kernel baseline "
-                 "(the pre-refactor engine).");
+                 "StreamEngine on the ready-queue executor: one value per "
+                 "ring transaction (burst 1) vs bursts of up to 256 values. "
+                 "Each run() carries one image, as in the inference server. "
+                 "Acceptance bar: burst 256 >= 2x burst 1.");
 
   const NetworkSpec dspec = models::tiny(8, 4, 2);
   const Pipeline dp = expand(dspec);
@@ -105,19 +102,13 @@ int main() {
 
   struct EngineConfig {
     const char* label;
-    ExecutorKind kind;
     std::size_t burst;
-    std::size_t fifo;  // 0 = auto (§III-B1b line buffers)
   };
+  // FIFOs are auto-sized (§III-B1b line buffers) in both: the transport
+  // granularity is the only variable.
   const EngineConfig configs[] = {
-      // The pre-refactor engine: one value per ring transaction, one OS
-      // thread per kernel, flat 4096-deep FIFOs.
-      {"scalar, thread-per-kernel (baseline)",
-       ExecutorKind::kThreadPerKernel, 1, 4096},
-      {"scalar, pooled", ExecutorKind::kPooled, 1, 0},
-      {"burst 256, thread-per-kernel", ExecutorKind::kThreadPerKernel, 256,
-       0},
-      {"burst 256, pooled", ExecutorKind::kPooled, 256, 0},
+      {"burst 1 (scalar transport, baseline)", 1},
+      {"burst 256", 256},
   };
   Table d({"configuration", "images/s", "speedup", "values/txn",
            "push stalls", "pop stalls"});
@@ -125,13 +116,11 @@ int main() {
   dj << "{\n  \"workload\": \"" << dspec.name << "\",\n  \"images\": "
      << drequests.size() * kReps << ",\n  \"configs\": [\n";
   double baseline_ips = 0.0;
-  double burst_pooled_ips = 0.0;
+  double burst_ips = 0.0;
   for (std::size_t i = 0; i < std::size(configs); ++i) {
     const EngineConfig& cfg = configs[i];
     EngineOptions opt;
-    opt.executor = cfg.kind;
     opt.burst = cfg.burst;
-    opt.fifo_capacity = cfg.fifo;
     StreamEngine engine(dp, dparams, opt);
     (void)engine.run(drequests.front());  // warm-up, untimed
     std::uint64_t values = 0;
@@ -155,9 +144,7 @@ int main() {
         std::chrono::steady_clock::now() - t0;
     const double ips = images / elapsed.count();
     if (i == 0) baseline_ips = ips;
-    if (cfg.kind == ExecutorKind::kPooled && cfg.burst > 1) {
-      burst_pooled_ips = ips;
-    }
+    if (cfg.burst > 1) burst_ips = ips;
     const double speedup = baseline_ips > 0.0 ? ips / baseline_ips : 0.0;
     const double occupancy =
         txns > 0 ? static_cast<double>(values) / static_cast<double>(txns)
@@ -166,8 +153,7 @@ int main() {
                Table::num(occupancy, 1),
                Table::integer(static_cast<std::int64_t>(push_stalls)),
                Table::integer(static_cast<std::int64_t>(pop_stalls))});
-    dj << "    {\"label\": \"" << cfg.label << "\", \"executor\": \""
-       << (cfg.kind == ExecutorKind::kPooled ? "pooled" : "thread") << "\""
+    dj << "    {\"label\": \"" << cfg.label << "\""
        << ", \"burst\": " << cfg.burst << ", \"images_per_second\": " << ips
        << ", \"speedup\": " << speedup
        << ", \"mean_burst_occupancy\": " << occupancy
@@ -176,10 +162,9 @@ int main() {
        << (i + 1 < std::size(configs) ? "," : "") << "\n";
   }
   bench::emit(d, "bench_dataflow");
-  const double bar =
-      baseline_ips > 0.0 ? burst_pooled_ips / baseline_ips : 0.0;
-  dj << "  ],\n  \"burst_pooled_speedup\": " << bar << "\n}\n";
-  std::cout << "\nburst+pooled speedup vs scalar thread-per-kernel: "
+  const double bar = baseline_ips > 0.0 ? burst_ips / baseline_ips : 0.0;
+  dj << "  ],\n  \"burst_speedup\": " << bar << "\n}\n";
+  std::cout << "\nburst 256 speedup vs burst 1: "
             << Table::num(bar, 2) << "x (acceptance bar: >= 2x)\n\n"
             << dj.str();
   bench::write_json("BENCH_dataflow.json", dj.str());

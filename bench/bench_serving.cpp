@@ -5,17 +5,12 @@
 // (§III-B); this bench quantifies how much the serving layer contributes:
 // the same closed-loop load is driven at a single unbatched replica (the
 // naive DfeSession::infer() deployment) and at replica farms with dynamic
-// micro-batching. Replicas are pinned to the thread-per-kernel executor —
-// the hardware-faithful board model, where every kernel is concurrently
-// live and each run() pays the full pipeline spin-up that micro-batching
-// exists to amortize. The acceptance bar for the serving subsystem is the
-// "4 replicas + batching" row reaching >= 2x the single-replica-unbatched
-// throughput under that engine. A final row runs the farm on the default
-// pooled engine, whose per-run cost is one worker spawn instead of one
-// per kernel: the engine now does most of the amortizing itself, which is
-// why its unbatched baseline sits far above the board model's. A final
-// open-loop Poisson run pushes a small server past saturation to show
-// admission control rejecting instead of queuing without bound.
+// micro-batching. Every run() pays the pipeline fill and drain that
+// micro-batching exists to amortize. The acceptance bar for the serving
+// subsystem is the "4 replicas + batching" row reaching >= 2x the
+// single-replica-unbatched throughput. A final open-loop Poisson run
+// pushes a small server past saturation to show admission control
+// rejecting instead of queuing without bound.
 //
 // Output: the usual table (CSV via QNN_CSV_DIR) plus a JSON block on
 // stdout for scripted consumption.
@@ -44,7 +39,6 @@ struct Scenario {
   std::string label;
   int replicas;
   int max_batch;
-  ExecutorKind engine = ExecutorKind::kThreadPerKernel;
 };
 
 // ---- mixed-pool ablation ------------------------------------------------
@@ -215,11 +209,11 @@ int run_backends() {
 //
 // The recorded BENCH_autotune.json must show the tuned plan >= 1.15x the
 // default on a throughput metric OR <= 0.87x its p99 ("pass": true); the
-// exit code enforces the structural invariant that survives this 1-core
-// box's run-to-run mood swings — the tuned plan LOSES on no throughput
+// exit code enforces the structural invariant that survives a shared
+// host's run-to-run mood swings — the tuned plan LOSES on no throughput
 // metric beyond the noise floor. PERF=1 tools/check.sh replays the
 // ablation and additionally pins the tuned arm's capacity to the
-// committed baseline, mirroring the executor-ablation gate.
+// committed baseline (tools/bench_gate.py).
 
 struct PlanArmResult {
   double raw_ips = 0.0;
@@ -249,8 +243,8 @@ void measure_raw(BackendSession& session,
 }
 
 /// Latency-oriented micro-batching: with small batches every run() pays
-/// the engine spin-up, which is exactly the cost the plan's executor
-/// choice moves — the regime where a tuned plan earns its keep.
+/// the pipeline fill and drain, which the plan's burst and FIFO choices
+/// move — the regime where a tuned plan earns its keep.
 ServerConfig ablation_server_config() {
   ServerConfig cfg;
   cfg.replicas = 1;
@@ -301,7 +295,7 @@ int run_autotune() {
   const std::vector<IntTensor> images = synthetic_batch(8, 8, 8, 3, 81);
 
   // Tune FOR the serving regime below: a latency SLO, so calibration runs
-  // micro-batches (spin-up paid per run) instead of one big batch.
+  // micro-batches (fill and drain paid per run) instead of one big batch.
   AutotuneConfig tune;
   tune.slo_us = 2000;
   tune.calibration_micro_batch = 4;  // matches the server's max_batch
@@ -309,8 +303,7 @@ int run_autotune() {
   const AutotuneResult tuned = autotune(pipeline, params, tune);
   std::cout << "autotune: " << tuned.evaluated << " candidates verified, "
             << tuned.pruned << " pruned; winner "
-            << tuned.best.fingerprint() << " ("
-            << to_string(tuned.best.executor) << ", burst "
+            << tuned.best.fingerprint() << " (burst "
             << tuned.best.burst
             << (tuned.best.adaptive_burst ? ", adaptive" : ", flat")
             << ", fifo " << tuned.best.fifo_capacity << ", pool "
@@ -481,7 +474,7 @@ int run_linkfault() {
   const std::vector<IntTensor> images = synthetic_batch(8, 16, 16, 3, 91);
 
   // Both farms live for the whole measurement, windows interleaved
-  // healthy/faulted per repeat: machine drift (and a 1-core box's mood)
+  // healthy/faulted per repeat: machine drift (and a shared host's mood)
   // hits both arms alike, so the throughput ratio survives run-to-run
   // noise that would sink any sequential A-then-B comparison.
   SessionConfig faulted_sc = session_config;
@@ -600,7 +593,6 @@ int run() {
       {"1 replica, batch 16", 1, 16},
       {"4 replicas, unbatched", 4, 1},
       {"4 replicas, batch 16", 4, 16},
-      {"4 replicas, batch 16, pooled engine", 4, 16, ExecutorKind::kPooled},
   };
 
   Table t({"configuration", "replicas", "max_batch", "qps", "p50 us",
@@ -616,17 +608,13 @@ int run() {
     cfg.max_batch = sc.max_batch;
     cfg.batch_timeout_us = 5000;
     cfg.queue_capacity = 1024;
-    session_config.engine.executor = sc.engine;
     DfeServer server(spec, params, cfg, session_config);
     LoadGenerator gen(server, images);
     const LoadResult r = gen.closed_loop(kClients, kRequestsPerClient);
     server.stop();
     const double batch_mean = server.metrics().snapshot().mean_batch_size();
     if (i == 0) baseline_qps = r.achieved_qps;
-    if (sc.replicas == 4 && sc.max_batch > 1 &&
-        sc.engine == ExecutorKind::kThreadPerKernel) {
-      farm_qps = r.achieved_qps;
-    }
+    if (sc.replicas == 4 && sc.max_batch > 1) farm_qps = r.achieved_qps;
     const double speedup =
         baseline_qps > 0.0 ? r.achieved_qps / baseline_qps : 0.0;
     t.add_row({sc.label, Table::integer(sc.replicas),
@@ -635,9 +623,8 @@ int run() {
                Table::num(r.p99_us, 0), Table::num(batch_mean, 2),
                Table::num(speedup, 2)});
     json << "    {\"label\": \"" << sc.label
-         << "\", \"replicas\": " << sc.replicas << ", \"executor\": \""
-         << (sc.engine == ExecutorKind::kPooled ? "pooled" : "thread")
-         << "\", \"max_batch\": " << sc.max_batch
+         << "\", \"replicas\": " << sc.replicas
+         << ", \"max_batch\": " << sc.max_batch
          << ", \"qps\": " << r.achieved_qps << ", \"p50_us\": " << r.p50_us
          << ", \"p95_us\": " << r.p95_us << ", \"p99_us\": " << r.p99_us
          << ", \"mean_batch\": " << batch_mean << ", \"speedup\": " << speedup
@@ -646,13 +633,10 @@ int run() {
   bench::emit(t, "bench_serving");
   const double speedup =
       baseline_qps > 0.0 ? farm_qps / baseline_qps : 0.0;
-  std::cout << "\nfarm speedup (4 replicas + batching vs 1 unbatched, "
-               "board-model engine): "
+  std::cout << "\nfarm speedup (4 replicas + batching vs 1 unbatched): "
             << Table::num(speedup, 2) << "x (acceptance bar: >= 2x)\n";
 
-  // Overload: a deliberately small server under an open-loop Poisson flood
-  // on the default (pooled) engine.
-  session_config.engine = {};
+  // Overload: a deliberately small server under an open-loop Poisson flood.
   ServerConfig small;
   small.replicas = 1;
   small.max_batch = 4;

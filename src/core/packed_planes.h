@@ -1,8 +1,7 @@
 // Persistently packed bit-plane storage for the streaming conv datapath.
 //
-// The scalar datapath re-binarizes every activation of every window
-// (BitPlaneWindow::fill walks k*k*I values per output pixel, so each input
-// value is decomposed k*k times at stride 1). Here each activation is
+// Re-binarizing every window would decompose each input value k*k times
+// at stride 1 (k*k*I values per output pixel). Here each activation is
 // decomposed exactly once, as its row streams in:
 //
 //   BitPlaneLineBuffer — per plane, the last K padded rows of the input map
@@ -15,7 +14,7 @@
 //     word-interleaved once at kernel construction, so one vector load
 //     reads the same word of a whole group (one lane per filter).
 //
-// Bit layout matches BitPlaneWindow/FilterBank: depth-first (dy, dx, ci)
+// Bit layout matches FilterBank: depth-first (dy, dx, ci)
 // within a window, (x, ci) within a line-buffer row. Padding is code 0,
 // whose bits are zero in every plane, so cleared rows/ranges are already
 // correct for padded regions.

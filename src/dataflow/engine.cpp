@@ -120,7 +120,6 @@ Stream& StreamEngine::make_stream(std::size_t capacity, int bits,
                                   std::string name) {
   streams_.push_back(
       std::make_unique<Stream>(capacity, bits, std::move(name)));
-  streams_.back()->set_abort(&abort_);
   return *streams_.back();
 }
 
@@ -136,18 +135,7 @@ StreamEngine::StreamEngine(const Pipeline& pipeline,
     enforce(verify_graph(pipeline, &params, options_), "StreamEngine");
   }
   pipeline_.validate();
-  switch (options_.executor) {
-    case ExecutorKind::kThreadPerKernel:
-      executor_ = make_thread_per_kernel_executor();
-      break;
-    case ExecutorKind::kPooled:
-      executor_ = make_pooled_executor(options_.pool_threads);
-      break;
-    case ExecutorKind::kReadyQueue:
-      executor_ = make_ready_queue_executor(
-          options_.pool_threads, options_.pin_threads, options_.pin_offset);
-      break;
-  }
+  executor_ = make_ready_queue_executor(options_.pool_threads);
 
   // All FIFO sizing lives in the plan layer (plan/fifo_plan.h) — the same
   // plan the analyzer proves deadlock-free is the one built here, stream

@@ -10,10 +10,9 @@
 // whole row segments, kernels move the per-edge burst planned by
 // plan_fifos (one row of the carried map by default, capped by
 // EngineOptions::burst) per ring transaction, and the collector pops
-// directly into the output tensors. How kernels execute is an Executor
-// choice (see executor.h): one OS thread per kernel, a round-robin
-// cooperative pool, or the default event-driven ready-queue scheduler
-// that the streams wake through the ReadyHook seam.
+// directly into the output tensors. The kernels run on the event-driven
+// ready-queue executor (executor.h), which the streams wake through the
+// ReadyHook seam, on at most EngineOptions::pool_threads host workers.
 //
 // FIFO capacities default to the paper's depth-first line-buffer formula
 // I*(W_p*(K-1) + K) (§III-B1b) per edge feeding a window kernel; the
@@ -39,13 +38,6 @@ namespace qnn {
 
 struct CompiledPlan;  // plan/compiled_plan.h
 
-/// Execution model for the kernels of one engine (see executor.h).
-enum class ExecutorKind {
-  kThreadPerKernel,  // one OS thread per kernel, blocking streams
-  kPooled,           // cooperative worker pool, round-robin sweep
-  kReadyQueue,       // event-driven ready deques with work stealing
-};
-
 struct EngineOptions {
   /// FIFO capacity (values) of regular kernel-to-kernel streams.
   /// 0 = auto-size each edge from the §III-B1b line-buffer formula.
@@ -61,19 +53,9 @@ struct EngineOptions {
   /// Derive per-edge burst sizes from producer row lengths in plan_fifos
   /// (FifoPlan::streams[i].burst) instead of using `burst` uniformly.
   bool adaptive_burst = true;
-  /// How kernels are scheduled onto host threads.
-  ExecutorKind executor = ExecutorKind::kReadyQueue;
-  /// Worker count for kPooled / kReadyQueue; 0 = hardware_concurrency.
+  /// Executor worker count; 0 = hardware_concurrency. Clamped to the
+  /// core count and to the number of tasks.
   unsigned pool_threads = 0;
-  /// kReadyQueue only: bind worker w to core (pin_offset + w) % cores
-  /// (Linux pthread affinity; no-op elsewhere). Combined with the home
-  /// partition of the ready deques this keeps producer/consumer kernel
-  /// pairs on one core's cache.
-  bool pin_threads = false;
-  /// First core of this engine's pinning window; DfeServer staggers it
-  /// per replica so replica pools tile the machine instead of stacking
-  /// every worker 0 on core 0.
-  unsigned pin_offset = 0;
   /// Run the static analyzer (verify/graph_check.h) during construction
   /// and refuse to build a graph with any error-severity finding. The
   /// software analog of the Maxeler compile-time graph checks; off only

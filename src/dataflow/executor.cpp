@@ -12,11 +12,6 @@
 
 #include "dataflow/ready_protocol.h"
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 namespace qnn {
 namespace {
 
@@ -48,100 +43,6 @@ class ErrorLatch {
   std::exception_ptr error_;
 };
 
-class ThreadPerKernelExecutor final : public Executor {
- public:
-  void run(std::span<Kernel* const> tasks,
-           std::atomic<bool>& abort) override {
-    ErrorLatch latch(abort);
-    std::vector<std::thread> threads;
-    threads.reserve(tasks.size());
-    for (Kernel* task : tasks) {
-      task->set_abort(&abort);
-      threads.emplace_back([task, &latch] {
-        try {
-          task->run();
-        } catch (...) {
-          latch.capture();
-        }
-      });
-    }
-    for (auto& t : threads) t.join();
-    latch.finish();
-  }
-};
-
-class PooledExecutor final : public Executor {
- public:
-  explicit PooledExecutor(unsigned threads) : threads_(threads) {}
-
-  void run(std::span<Kernel* const> tasks,
-           std::atomic<bool>& abort) override {
-    const std::size_t n = tasks.size();
-    if (n == 0) return;
-    const unsigned hw = threads_ != 0
-                            ? threads_
-                            : std::max(1u, std::thread::hardware_concurrency());
-    const std::size_t workers = std::min<std::size_t>(hw, n);
-
-    struct Slot {
-      std::atomic_flag busy;        // a worker is stepping this task
-      std::atomic<bool> done{false};
-    };
-    std::vector<Slot> slots(n);
-    std::atomic<std::size_t> remaining{n};
-    ErrorLatch latch(abort);
-
-    // Workers sweep the task list from staggered start points: each tries
-    // to claim a task (busy flag), steps it once, and releases it. A full
-    // sweep without progress means the pipeline is waiting on in-flight
-    // data of tasks other workers hold — yield rather than spin.
-    auto worker_loop = [&](std::size_t wid) {
-      while (remaining.load(std::memory_order_acquire) != 0 &&
-             !abort.load(std::memory_order_relaxed)) {
-        bool progressed = false;
-        for (std::size_t j = 0; j < n; ++j) {
-          const std::size_t t = (wid + j) % n;
-          Slot& slot = slots[t];
-          if (slot.done.load(std::memory_order_relaxed)) continue;
-          if (slot.busy.test_and_set(std::memory_order_acquire)) continue;
-          // Re-check under the busy flag: done may have been set by the
-          // holder we just succeeded (its release ordered the store).
-          if (slot.done.load(std::memory_order_relaxed)) {
-            slot.busy.clear(std::memory_order_release);
-            continue;
-          }
-          bool task_done = false;
-          try {
-            const StepResult r = tasks[t]->step_checked();
-            task_done = r == StepResult::kDone;
-            if (r != StepResult::kBlocked) progressed = true;
-          } catch (...) {
-            latch.capture();
-            task_done = true;
-          }
-          if (task_done) {
-            slot.done.store(true, std::memory_order_relaxed);
-            remaining.fetch_sub(1, std::memory_order_acq_rel);
-          }
-          slot.busy.clear(std::memory_order_release);
-        }
-        if (!progressed) std::this_thread::yield();
-      }
-    };
-
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      pool.emplace_back(worker_loop, w);
-    }
-    for (auto& t : pool) t.join();
-    latch.finish();
-  }
-
- private:
-  unsigned threads_;
-};
-
 // -------------------------------------------------------- ready queue
 
 /// Per-run scheduler state behind make_ready_queue_executor: the ReadyHook
@@ -153,8 +54,7 @@ class PooledExecutor final : public Executor {
 /// ready_protocol.h as ReadyProtocol<Sync>, instantiated here with
 /// RealSync. The model checker (src/mc) explores the SAME template on
 /// virtual threads; this class adds the parts the checker abstracts away:
-/// per-worker deques, work stealing, the parking lot, the awake limit and
-/// the error latch.
+/// per-worker deques, work stealing, the parking lot and the error latch.
 ///
 /// Workers with nothing to run (own deque empty, nothing to steal) park
 /// on a condition variable with a short timeout instead of spinning; a
@@ -172,19 +72,15 @@ class ReadyQueueScheduler final : public ReadyHook {
         proto_(tasks.size()),
         homes_(tasks.size()),
         queues_(workers),
-        remaining_(tasks.size()),
-        awake_limit_(static_cast<int>(
-            std::max(1u, std::thread::hardware_concurrency()))),
-        awake_(static_cast<int>(workers)) {
+        remaining_(tasks.size()) {
     // Home = block partition of the topologically ordered task list:
     // task i lives on worker i*W/N, so adjacent producer/consumer kernels
-    // share a deque (and, when the workers are pinned, a core).
+    // share a deque.
     const std::size_t n = tasks.size();
     for (std::size_t i = 0; i < n; ++i) {
       homes_[i] = i * workers / n;
       queues_[homes_[i]].q.push_back(static_cast<int>(i));
     }
-    ready_.store(static_cast<int>(n), std::memory_order_relaxed);
   }
 
   void wake(int task) override {
@@ -202,29 +98,10 @@ class ReadyQueueScheduler final : public ReadyHook {
     std::uint64_t seen = activity_.load(std::memory_order_acquire);
     while (remaining_.load(std::memory_order_acquire) != 0 &&
            !abort_.load(std::memory_order_relaxed)) {
-      // Cap awake workers at the core count: a worker woken beyond that
-      // has no idle core to run on — it can only preempt a productive
-      // peer. Surplus workers yield their awake slot via CAS (so the
-      // last worker at the limit never parks here) and doze; the slot
-      // count is restored on wake. This is what keeps thread-per-kernel
-      // pool sizes harmless.
-      int a = awake_.load(std::memory_order_relaxed);
-      while (a > awake_limit_ &&
-             !awake_.compare_exchange_weak(a, a - 1,
-                                           std::memory_order_acq_rel)) {
-      }
-      if (a > awake_limit_) {
-        park(stale_timeouts);
-        awake_.fetch_add(1, std::memory_order_acq_rel);
-        stale_timeouts = std::min(stale_timeouts + 1, 4);
-        continue;
-      }
       int t = pop_local(wid);
       if (t < 0) t = steal(wid);
       if (t < 0) {
-        awake_.fetch_sub(1, std::memory_order_acq_rel);
         park(stale_timeouts);
-        awake_.fetch_add(1, std::memory_order_acq_rel);
         const std::uint64_t now = activity_.load(std::memory_order_acquire);
         if (now != seen) {
           seen = now;
@@ -257,19 +134,14 @@ class ReadyQueueScheduler final : public ReadyHook {
       const std::lock_guard<std::mutex> lock(wq.mu);
       wq.q.push_back(task);
     }
-    // Throttled notify: every enqueue comes from a worker (a kernel step
-    // or a rescue sweep), and a worker always drains the deques —
-    // pop_local then steal — before it parks, so a ready task that the
-    // awake workers will get to anyway needs no futex wake. Wake a
-    // parked peer only while an idle core could actually run it. Without
-    // this throttle every ring transaction turns into a notify/park
-    // round trip through the kernel scheduler, and the wake cascade
-    // keeps a whole overprovisioned pool runnable, thrashing context
-    // switches against the productive workers.
+    // Notify only when a peer is parked: every enqueue comes from a worker
+    // (a kernel step or a rescue sweep), and a worker always drains the
+    // deques — pop_local then steal — before it parks, so while every
+    // worker is awake a ready task needs no futex wake. The pool never
+    // exceeds the core count (ReadyQueueExecutor::run), so a parked peer
+    // always has an idle core to run on.
     activity_.fetch_add(1, std::memory_order_release);
-    ready_.fetch_add(1, std::memory_order_acq_rel);
-    const int parked = parked_.load(std::memory_order_seq_cst);
-    if (parked > 0 && awake_.load(std::memory_order_relaxed) < awake_limit_) {
+    if (parked_.load(std::memory_order_seq_cst) > 0) {
       // Lock so the notify cannot fall between a parker's counter bump
       // and its wait; a parker that has not bumped yet just eats one
       // timeout instead.
@@ -284,7 +156,6 @@ class ReadyQueueScheduler final : public ReadyHook {
     if (wq.q.empty()) return -1;
     const int t = wq.q.back();  // LIFO: the task whose data is cache-hot
     wq.q.pop_back();
-    ready_.fetch_sub(1, std::memory_order_acq_rel);
     return t;
   }
 
@@ -295,15 +166,14 @@ class ReadyQueueScheduler final : public ReadyHook {
       if (wq.q.empty()) continue;
       const int t = wq.q.front();  // FIFO side: the victim's coldest task
       wq.q.pop_front();
-      ready_.fetch_sub(1, std::memory_order_acq_rel);
-      return t;
+        return t;
     }
     return -1;
   }
 
   /// Timed park with exponential backoff: a worker that keeps finding
-  /// nothing sleeps longer (200us up to 3.2ms) so an overprovisioned pool
-  /// costs a bounded trickle of timeout rescans instead of a busy loop. A
+  /// nothing sleeps longer (200us up to 3.2ms) so an idle pool costs a
+  /// bounded trickle of timeout rescans instead of a busy loop. A
   /// surplus notify (enqueue) cuts any wait short.
   void park(int stale_timeouts) {
     std::unique_lock<std::mutex> lock(park_mu_);
@@ -376,10 +246,7 @@ class ReadyQueueScheduler final : public ReadyHook {
   std::mutex park_mu_;
   std::condition_variable park_cv_;
   std::atomic<int> parked_{0};
-  std::atomic<int> ready_{0};  // tasks sitting in deques (surplus gauge)
   std::atomic<std::uint64_t> activity_{0};  // enqueues + completions
-  const int awake_limit_;  // #cores: workers awake beyond this only thrash
-  std::atomic<int> awake_;
 };
 
 /// Ready-queue executor with a persistent worker pool. Spawning and
@@ -393,8 +260,7 @@ class ReadyQueueScheduler final : public ReadyHook {
 /// raises shutdown and joins.
 class ReadyQueueExecutor final : public Executor {
  public:
-  ReadyQueueExecutor(unsigned threads, bool pin, unsigned pin_offset)
-      : threads_(threads), pin_(pin), pin_offset_(pin_offset) {}
+  explicit ReadyQueueExecutor(unsigned threads) : threads_(threads) {}
 
   ~ReadyQueueExecutor() override {
     {
@@ -410,10 +276,11 @@ class ReadyQueueExecutor final : public Executor {
            std::atomic<bool>& abort) override {
     const std::size_t n = tasks.size();
     if (n == 0) return;
-    const unsigned hw = threads_ != 0
-                            ? threads_
-                            : std::max(1u, std::thread::hardware_concurrency());
-    const std::size_t workers = std::min<std::size_t>(hw, n);
+    // A worker beyond the core count has no core to run on — it could
+    // only preempt a productive peer — so the pool never exceeds it.
+    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+    const std::size_t workers = std::min<std::size_t>(
+        threads_ != 0 ? std::min(threads_, hw) : hw, n);
 
     ReadyQueueScheduler sched(tasks, workers, abort);
     // Bind the readiness seam before any worker starts; unbind after they
@@ -431,7 +298,10 @@ class ReadyQueueExecutor final : public Executor {
 
     {
       std::unique_lock<std::mutex> lock(mu_);
-      while (pool_.size() < workers) spawn(pool_.size());
+      while (pool_.size() < workers) {
+        const std::size_t wid = pool_.size();
+        pool_.emplace_back([this, wid] { pool_worker(wid); });
+      }
       sched_ = &sched;
       run_workers_ = workers;
       active_ = workers;
@@ -444,23 +314,6 @@ class ReadyQueueExecutor final : public Executor {
   }
 
  private:
-  void spawn(std::size_t wid) {
-    pool_.emplace_back([this, wid] { pool_worker(wid); });
-#if defined(__linux__)
-    if (pin_) {
-      const unsigned ncores =
-          std::max(1u, std::thread::hardware_concurrency());
-      cpu_set_t set;
-      CPU_ZERO(&set);
-      CPU_SET((pin_offset_ + wid) % ncores, &set);
-      // Best effort: a shrunken cpuset (container) just leaves the
-      // worker unpinned.
-      pthread_setaffinity_np(pool_.back().native_handle(), sizeof(set),
-                             &set);
-    }
-#endif
-  }
-
   void pool_worker(std::size_t wid) {
     std::uint64_t seen = 0;
     for (;;) {
@@ -483,8 +336,6 @@ class ReadyQueueExecutor final : public Executor {
   }
 
   unsigned threads_;
-  bool pin_;
-  unsigned pin_offset_;
   std::mutex mu_;
   std::condition_variable start_cv_;
   std::condition_variable done_cv_;
@@ -498,17 +349,8 @@ class ReadyQueueExecutor final : public Executor {
 
 }  // namespace
 
-std::unique_ptr<Executor> make_thread_per_kernel_executor() {
-  return std::make_unique<ThreadPerKernelExecutor>();
-}
-
-std::unique_ptr<Executor> make_pooled_executor(unsigned threads) {
-  return std::make_unique<PooledExecutor>(threads);
-}
-
-std::unique_ptr<Executor> make_ready_queue_executor(unsigned threads, bool pin,
-                                                    unsigned pin_offset) {
-  return std::make_unique<ReadyQueueExecutor>(threads, pin, pin_offset);
+std::unique_ptr<Executor> make_ready_queue_executor(unsigned threads) {
+  return std::make_unique<ReadyQueueExecutor>(threads);
 }
 
 }  // namespace qnn

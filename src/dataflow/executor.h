@@ -1,34 +1,21 @@
-// Execution models for a set of resumable kernel tasks.
+// The engine's executor: drives a set of resumable kernel tasks to
+// completion on a small pool of host threads.
 //
-// The engine builds its kernels once; *how* they run is an Executor
-// decision made per StreamEngine from EngineOptions:
+// Scheduling is event-driven: every Stream wakes its blocked neighbour
+// through the ReadyHook seam (ring_core.h) when a ring transaction lands,
+// so a kernel is queued only while it has something to do. Workers pull
+// from per-worker deques (LIFO for cache warmth) and steal from peers when
+// their own runs dry; idle workers park on a condition variable instead of
+// sweeping, so a deep chain where only a few kernels are runnable costs no
+// O(tasks) scan per step and no spinning. The home deque of each task is
+// the block partition of the topologically ordered task list, which places
+// producer/consumer pairs on the same worker.
 //
-//   * thread-per-kernel — one OS thread per task driving the blocking
-//     Kernel::run() loop. Faithful to the hardware picture (every kernel
-//     is its own physical pipeline stage) but oversubscribes the host as
-//     soon as the pipeline is deeper than the core count.
-//
-//   * pooled cooperative — min(tasks, threads) workers sweep the task
-//     list and step() whichever kernels are runnable, serializing steps
-//     of one kernel with a per-task busy flag. A deep pipeline then costs
-//     no more threads than the machine has cores, and a blocked kernel
-//     costs one skipped step instead of a context switch.
-//
-//   * ready queue (default) — event-driven: every Stream wakes its
-//     blocked neighbour through the ReadyHook seam (stream.h) when a ring
-//     transaction lands, so a kernel is queued only while it has something
-//     to do. Workers pull from per-worker deques (LIFO for cache warmth)
-//     and steal from peers when their own runs dry; idle workers park on a
-//     condition variable instead of sweeping, so a deep chain where only a
-//     few kernels are runnable costs no O(tasks) scan per step and no
-//     spinning. The home deque of each task is the block partition of the
-//     topologically ordered task list, which places producer/consumer
-//     pairs on the same worker — and, with pinning, the same core.
-//
-// All models have identical failure semantics: the first kernel
-// exception aborts the run (via the shared abort flag that also unblocks
-// any blocking stream operations) and is rethrown to the caller after all
-// workers have quiesced.
+// The pool holds min(requested threads, hardware_concurrency, tasks)
+// workers: one fixed datapath per layer, as many host cores as the
+// machine has. The first kernel exception aborts the run (through the
+// shared abort flag every worker polls) and is rethrown to the caller
+// after all workers have quiesced.
 #pragma once
 
 #include <atomic>
@@ -51,19 +38,9 @@ class Executor {
                    std::atomic<bool>& abort) = 0;
 };
 
-/// One OS thread per task, blocking run() loops.
-std::unique_ptr<Executor> make_thread_per_kernel_executor();
-
-/// Cooperative worker pool; `threads` = 0 means hardware_concurrency.
-std::unique_ptr<Executor> make_pooled_executor(unsigned threads = 0);
-
 /// Event-driven ready-queue scheduler with work stealing (see the file
-/// comment). `threads` = 0 means hardware_concurrency. With `pin`, worker
-/// w is bound to core (pin_offset + w) % cores via pthread affinity
-/// (Linux; silently a no-op elsewhere) — replica pools pass staggered
-/// offsets so four engines do not all land on core 0.
-std::unique_ptr<Executor> make_ready_queue_executor(unsigned threads = 0,
-                                                    bool pin = false,
-                                                    unsigned pin_offset = 0);
+/// comment). `threads` = 0 means hardware_concurrency; larger requests are
+/// clamped to it.
+std::unique_ptr<Executor> make_ready_queue_executor(unsigned threads = 0);
 
 }  // namespace qnn

@@ -1,8 +1,6 @@
 #include "dataflow/kernels.h"
 
 #include <algorithm>
-#include <atomic>
-#include <thread>
 
 namespace qnn {
 namespace {
@@ -21,31 +19,6 @@ std::size_t window_burst(const Node& node, std::size_t burst) {
 }
 
 }  // namespace
-
-// -------------------------------------------------------------------- Kernel
-
-void Kernel::run() {
-  for (;;) {
-    switch (step_checked()) {
-      case StepResult::kDone:
-        return;
-      case StepResult::kProgress:
-        break;
-      case StepResult::kBlocked:
-        if (abort_ != nullptr && abort_->load(std::memory_order_relaxed)) {
-          throw Error("kernel '" + name_ + "' aborted");
-        }
-        // Same backoff shape as a blocked stream: short spin, then yield.
-        for (int i = 0; i < 64; ++i) {
-#if defined(__x86_64__)
-          __builtin_ia32_pause();
-#endif
-        }
-        std::this_thread::yield();
-        break;
-    }
-  }
-}
 
 // -------------------------------------------------------------- WindowKernel
 
@@ -134,29 +107,14 @@ StepResult WindowKernel::step() {
 
 // ---------------------------------------------------------------- ConvKernel
 
-namespace {
-std::atomic<ConvDatapath> g_conv_datapath{ConvDatapath::kPacked};
-}  // namespace
-
-ConvDatapath conv_datapath() {
-  return g_conv_datapath.load(std::memory_order_relaxed);
-}
-
-void set_conv_datapath(ConvDatapath dp) {
-  g_conv_datapath.store(dp, std::memory_order_relaxed);
-}
-
 ConvKernel::ConvKernel(const Node& node, const FilterBank& weights,
                        Stream& in, Stream& out, std::size_t burst)
     : WindowKernel(node, in, out, burst),
-      weights_(weights),
-      planes_(scanner().window_values(), node.in_bits),
       packed_weights_(scanner().window_values(), node.out.c),
       lines_(node.in_bits, node.k,
              static_cast<std::int64_t>(scanner().padded_w()) * node.in.c),
       window_(scanner().window_values(), node.in_bits),
-      acc_(packed_weights_.groups() * simd::kFilterLanes, 0),
-      datapath_(conv_datapath()) {
+      acc_(packed_weights_.groups() * simd::kFilterLanes, 0) {
   QNN_CHECK(node.kind == NodeKind::Conv, "ConvKernel needs a Conv node");
   QNN_CHECK(weights.shape() == node.filter_shape(),
             "weight bank does not match node geometry");
@@ -165,10 +123,7 @@ ConvKernel::ConvKernel(const Node& node, const FilterBank& weights,
   }
 }
 
-void ConvKernel::rearm_image() {
-  packed_row_ = -1;
-  datapath_ = conv_datapath();
-}
+void ConvKernel::rearm_image() { packed_row_ = -1; }
 
 void ConvKernel::ensure_row(int y) {
   const int k = node().k;
@@ -179,7 +134,6 @@ void ConvKernel::ensure_row(int y) {
 }
 
 void ConvKernel::ingest_run(std::span<const std::int32_t> vals) {
-  if (datapath_ != ConvDatapath::kPacked) return;
   const int y = scanner().cur_row();
   ensure_row(y);
   lines_.pack_run(y % node().k, scanner().row_value_pos(), vals);
@@ -187,18 +141,7 @@ void ConvKernel::ingest_run(std::span<const std::int32_t> vals) {
 
 void ConvKernel::emit(const WindowScanner::Completed& at) {
   const int o_count = node().out.c;
-  if (datapath_ != ConvDatapath::kPacked) {
-    // Scalar-pack reference: gather the window out of the scanner ring and
-    // re-binarize it value by value.
-    load_window(at);
-    planes_.fill(window_buf());
-    for (int o = 0; o < o_count; ++o) {
-      stage().append(planes_.dot(weights_.filter(o)));
-    }
-    return;
-  }
-  // Packed incremental path: every activation was bit-plane-packed exactly
-  // once at ingest; a window is K contiguous bit-range splices per plane
+  // Every activation was bit-plane-packed exactly once at ingest; a window is K contiguous bit-range splices per plane
   // out of the line buffer (rows recycled mod K, in step with the scanner
   // ring), then one filter-parallel dot over all planes and all O filters.
   const int k = node().k;

@@ -8,22 +8,18 @@
 // Kernels are *resumable tasks*, not threads: the unit of execution is
 // step(), which performs a bounded amount of work using only the streams'
 // non-blocking burst API and reports whether it progressed, is blocked on
-// a neighbour, or has finished. This makes one kernel definition runnable
-// under both execution models of the engine's Executor seam:
-//
-//   * thread-per-kernel — run() drives step() in a blocking loop with
-//     backoff (the classic model: one OS thread per kernel);
-//   * pooled cooperative — a small worker pool repeatedly steps runnable
-//     kernels, so a 70-kernel pipeline no longer oversubscribes the host.
+// a neighbour, or has finished. The ready-queue executor (executor.h)
+// steps whichever kernels the streams have woken on a pool no larger than
+// the core count, so a 70-kernel pipeline never oversubscribes the host.
 //
 // Data moves in bursts end to end: a kernel pops a burst of input values,
 // transforms it (BnAct maps the whole burst through the threshold unit in
 // one SIMD call; Add sums a burst pair in one loop; Conv/Pool ingest row
 // segments at a time and emit all O filter responses per completed window
-// position), stages the results, and flushes them with one ring
-// transaction. Blocked-episode accounting (Stream::note_*_stall) fires
-// once per continuous blocked period, so the stall counters keep their
-// pre-burst meaning.
+// position; Conv through the packed XNOR-popcount datapath), stages the
+// results, and flushes them with one ring transaction. Blocked-episode
+// accounting (Stream::note_*_stall) fires once per continuous blocked
+// period, so the stall counters keep their pre-burst meaning.
 //
 // All kernels process an unbounded sequence of images and terminate when
 // their input stream is closed at an image boundary.
@@ -33,7 +29,6 @@
 #include <string>
 #include <vector>
 
-#include "core/bitplanes.h"
 #include "core/packed_planes.h"
 #include "core/simd/vec_ops.h"
 #include "dataflow/stream.h"
@@ -184,14 +179,6 @@ class Kernel {
   /// steps of different kernels may run concurrently.
   virtual StepResult step() = 0;
 
-  /// Blocking convenience driver: steps until kDone, backing off while
-  /// blocked. Used by the thread-per-kernel executor and direct tests.
-  /// Throws once the attached abort flag (set_abort) is raised.
-  void run();
-
-  /// Abort flag consulted by run() while blocked (engine-wide fail-fast).
-  void set_abort(const std::atomic<bool>* flag) { abort_ = flag; }
-
   /// Attach a fault-injection site (nullptr = none), armed per run by the
   /// engine's FaultInjector.
   void set_fault(KernelFaultSite* site) { fault_ = site; }
@@ -204,7 +191,7 @@ class Kernel {
     return step();
   }
 
-  /// Readiness wiring for the ready-queue executor: register `task` (this
+  /// Readiness wiring for the executor: register `task` (this
   /// kernel's slot in the executor's task table) as the consumer of every
   /// input stream and the producer of every output stream, so the streams
   /// wake it when the edge it blocked on becomes serviceable again. Called
@@ -222,7 +209,6 @@ class Kernel {
 
  private:
   std::string name_;
-  const std::atomic<bool>* abort_ = nullptr;
   KernelFaultSite* fault_ = nullptr;
 };
 
@@ -242,8 +228,8 @@ class WindowKernel : public Kernel {
 
   /// Called once per contiguous run of REAL input values, just before they
   /// are fed to the scanner — the scanner cursor (cur_row/row_value_pos)
-  /// still points at the run's first value. The packed conv datapath packs
-  /// the run into its bit-plane line buffers here; the default does nothing.
+  /// still points at the run's first value. The conv kernel packs the run
+  /// into its bit-plane line buffers here; the default does nothing.
   virtual void ingest_run(std::span<const std::int32_t> /*vals*/) {}
 
   /// Called whenever the scan re-arms for a new image (end of image and
@@ -255,8 +241,8 @@ class WindowKernel : public Kernel {
   [[nodiscard]] OutStage& stage() { return stage_; }
 
   /// Copy the window at `at` out of the scanner ring into window_buf().
-  /// Only the scalar datapaths pay this gather; the packed conv datapath
-  /// never calls it.
+  /// Pooling pays this gather; the conv kernel splices its window from
+  /// packed line buffers instead.
   void load_window(const WindowScanner::Completed& at) {
     scanner_.window(at, window_buf_);
   }
@@ -280,26 +266,16 @@ class WindowKernel : public Kernel {
   bool image_open_ = false;
 };
 
-/// Which conv inner datapath ConvKernel uses. kPacked (the default) is the
-/// word-packed incremental path: activations are decomposed into bit-plane
-/// line buffers once as rows stream in, windows are assembled by word
-/// splices, and one vec_ops dot_window call per window computes all O
-/// filters, one SIMD lane per filter.
-/// kScalarPack is the original per-window re-pack (BitPlaneWindow::fill),
-/// kept as the bit-exact reference and as a bench ablation arm.
-enum class ConvDatapath { kScalarPack, kPacked };
-
-/// Process-wide datapath selector (atomic; read at each window emit, so
-/// tests and the bench ablation can flip it between runs).
-[[nodiscard]] ConvDatapath conv_datapath();
-void set_conv_datapath(ConvDatapath dp);
-
 /// XNOR-popcount convolution kernel (Figure 3). Consumes depth-first
 /// activation codes in row-segment bursts, injects padding locally, and on
 /// each completed window emits all O filter responses for that position.
-/// Weights live in the kernel as a packed FilterBank — the on-chip weight
+/// Weights live in the kernel as packed sign bits — the on-chip weight
 /// cache of §III-B1a — packed once at construction into groups of
 /// simd::kFilterLanes word-interleaved filters for the SIMD inner loop.
+/// Activations are decomposed into bit-plane line buffers once as rows
+/// stream in, each window is assembled by word splices, and one
+/// vec_ops dot_window call per window computes all O filters, one SIMD
+/// lane per filter.
 class ConvKernel final : public WindowKernel {
  public:
   ConvKernel(const Node& node, const FilterBank& weights, Stream& in,
@@ -315,18 +291,11 @@ class ConvKernel final : public WindowKernel {
   /// this is the only place they get recycled).
   void ensure_row(int y);
 
-  const FilterBank& weights_;
-  BitPlaneWindow planes_;  // scalar-pack reference datapath
-
-  // Packed incremental datapath state. The datapath choice is latched per
-  // image (rearm_image), so a mid-image selector flip can never mix a
-  // half-packed line buffer with a packed emit.
   PackedFilters packed_weights_;
   BitPlaneLineBuffer lines_;
   PackedWindow window_;
   std::vector<std::int32_t> acc_;  // groups * kFilterLanes window responses
   int packed_row_ = -1;  // highest padded row already entered into lines_
-  ConvDatapath datapath_;
 };
 
 /// Max / average (window-sum) pooling kernel. Parameterless; emits each

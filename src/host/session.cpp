@@ -60,12 +60,7 @@ DfeSession DfeSession::compile(const NetworkSpec& spec, NetworkParams params,
     // The plan's frozen knobs override the ad-hoc engine options, and the
     // engine is pointed at the plan itself (non-owning; the shared_ptr in
     // the stored config keeps the pointee alive across recompiles).
-    // pin_offset is deployment-site identity, not a plan decision:
-    // DfeServer staggers it per replica so pools tile the machine, and
-    // that stagger must survive the plan application.
-    const unsigned pin_offset = config.engine.pin_offset;
     config.plan->apply_engine(config.engine);
-    config.engine.pin_offset = pin_offset;
     config.engine.plan = config.plan.get();
   }
   state->config = config;

@@ -3,14 +3,15 @@
 // The paper tunes its streaming architecture by hand (§IV-B: burst sizing,
 // buffer depths, one kernel graph per DFE). This driver automates the
 // host-side analog as a small grid search over the CompiledPlan knobs —
-// executor kind, plan-wide burst cap, adaptive per-edge bursts — with two
+// plan-wide burst cap, adaptive per-edge bursts, FIFO capacity — with two
 // oracles in sequence:
 //
 //   1. the sim/ cycle model prices each candidate's per-edge bursts and
 //      partition cut (predicted_ips), ranking the grid cheaply;
 //   2. a short live calibration run (backend compile + timed infer_batch
 //      on synthetic images) decides among the top-ranked candidates,
-//      because the executor knobs are invisible to the DFE cycle model.
+//      because host-side costs (ring handoffs, worker wake-ups) are
+//      invisible to the DFE cycle model.
 //
 // Every candidate is proved deadlock-free by verify/ BEFORE it may run:
 // a candidate whose Report is not ok() is pruned, never executed. The
@@ -47,12 +48,6 @@ struct AutotuneConfig {
   /// (0). Deeper FIFOs let producers run further ahead — fewer blocking
   /// handoffs, which is what dominates small models on few cores.
   std::vector<std::size_t> fifo_capacities = {0, 4096};
-  /// Sweep executor kinds (thread-per-kernel / pooled / ready-queue).
-  bool try_executors = true;
-  /// Worker-pool widths tried for the pooled executor (0 = one worker per
-  /// hardware thread, the default). Extra workers can cover a worker that
-  /// blocks on a FIFO handoff.
-  std::vector<unsigned> pool_threads = {2, 4};
   /// Try both adaptive per-edge bursts and the flat plan-wide burst.
   bool try_adaptive = true;
   /// Hard cap on grid size after pruning duplicates.
@@ -60,12 +55,10 @@ struct AutotuneConfig {
 
   // ---- live calibration --------------------------------------------------
   /// Measure the top-ranked candidates on the real backend; without it the
-  /// cycle-model prediction picks the winner (executor knobs then stay at
-  /// the default, since the DFE model cannot see them).
+  /// cycle-model prediction picks the winner.
   bool live_calibration = true;
-  /// Candidates (beyond the default) that get a live run — best-predicted
-  /// first, spread round-robin across executor kinds when the cycle model
-  /// ties (it cannot see host executor knobs).
+  /// Candidates (beyond the default) that get a live run, best-predicted
+  /// first.
   int calibrate_top = 9;
   /// Images per timed repeat. The default keeps a repeat's window well
   /// above the OS scheduler tick on a fast model — short windows made the
@@ -74,9 +67,9 @@ struct AutotuneConfig {
   /// Micro-batch size for the timed runs. 0 = derive: the whole image set
   /// in one infer_batch when slo_us == 0 (pure throughput), batches of 4
   /// when an SLO is set. A latency-SLO deployment serves small
-  /// micro-batches, so every run pays the engine spin-up the executor
-  /// knob exists to amortize — calibrating on one big batch is blind to
-  /// exactly the cost that dominates that regime.
+  /// micro-batches, so every run pays the pipeline fill and drain —
+  /// calibrating on one big batch is blind to exactly the cost that
+  /// dominates that regime.
   int calibration_micro_batch = 0;
   /// Timed repeats per candidate; the BEST repeat is kept (scheduling
   /// interference only ever slows a run down).

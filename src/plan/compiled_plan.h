@@ -2,8 +2,7 @@
 //
 // The design space of the paper — per-edge FIFO depths (§III-B1b), burst
 // framing, the partition cut across MaxRing-linked DFEs (§III-B6) — plus
-// the host-side execution knobs (executor kind, worker count, pinning) used
-// to be re-derived ad hoc at four layers: the analyzer planned FIFOs, the
+// the host-side worker count used to be re-derived ad hoc at four layers: the analyzer planned FIFOs, the
 // session re-threaded bursts into the sim and partition configs, the engine
 // re-read the same knobs, and the server hand-picked pool shapes. A
 // CompiledPlan captures the whole decision once:
@@ -11,7 +10,7 @@
 //   * the FIFO plan (plan/fifo_plan.h) the engine wires verbatim,
 //   * per-edge bursts carried into the cycle simulator's MaxRing
 //     serializer and the partitioner's wire pricing,
-//   * executor kind + pool_threads / pin_threads / pin_offset,
+//   * the executor's pool_threads,
 //   * the partition cut and the backend that executes it,
 //
 // keyed by a stable fingerprint (model hash, machine signature, SLO) so a
@@ -39,7 +38,7 @@ namespace qnn {
 /// Serialization format version (plan/json.h). Bump on any field change
 /// that older readers would misinterpret; the cache treats a version
 /// mismatch as a miss, never as an error (DESIGN.md §9).
-inline constexpr int kPlanFormatVersion = 1;
+inline constexpr int kPlanFormatVersion = 2;
 
 /// Structural hash of a pipeline (FNV-1a over shapes, edges, widths and
 /// window geometry; node *names* are excluded so a rename does not orphan
@@ -49,7 +48,7 @@ inline constexpr int kPlanFormatVersion = 1;
 
 /// Host signature a plan was tuned on: architecture + core count (e.g.
 /// "x86_64-8c"). Plans do not transfer between machine shapes — the
-/// executor/pinning knobs they freeze are core-count dependent.
+/// worker count they freeze is core-count dependent.
 [[nodiscard]] std::string machine_signature();
 
 /// Stable cache fingerprint: (model hash, machine signature, SLO).
@@ -82,10 +81,7 @@ struct CompiledPlan {
   std::size_t skip_slack = 64;
   std::size_t burst = kDefaultBurst;
   bool adaptive_burst = true;
-  ExecutorKind executor = ExecutorKind::kReadyQueue;
   unsigned pool_threads = 0;
-  bool pin_threads = false;
-  unsigned pin_offset = 0;
 
   // ---- substrate + partition ---------------------------------------------
   /// Registered backend (backend/backend.h) the plan was tuned against.
@@ -130,10 +126,5 @@ struct CompiledPlan {
                                         const EngineOptions& options = {},
                                         std::int64_t slo_us = 0,
                                         const std::string& backend = "engine");
-
-[[nodiscard]] const char* to_string(ExecutorKind kind);
-/// Parse an executor name ("thread-per-kernel" / "pooled" / "ready-queue");
-/// throws qnn::Error on anything else.
-[[nodiscard]] ExecutorKind executor_from_string(const std::string& name);
 
 }  // namespace qnn

@@ -359,11 +359,7 @@ std::string to_json(const CompiledPlan& plan) {
   o += "  \"burst\": " + std::to_string(plan.burst) + ",\n";
   o += std::string("  \"adaptive_burst\": ") +
        (plan.adaptive_burst ? "true" : "false") + ",\n";
-  o += std::string("  \"executor\": \"") + to_string(plan.executor) + "\",\n";
   o += "  \"pool_threads\": " + std::to_string(plan.pool_threads) + ",\n";
-  o += std::string("  \"pin_threads\": ") +
-       (plan.pin_threads ? "true" : "false") + ",\n";
-  o += "  \"pin_offset\": " + std::to_string(plan.pin_offset) + ",\n";
   o += "  \"backend\": ";
   write_escaped(o, plan.backend);
   o += ",\n";
@@ -426,10 +422,7 @@ CompiledPlan plan_from_json(const std::string& text) {
   plan.skip_slack = root.as_size("skip_slack");
   plan.burst = root.as_size("burst");
   plan.adaptive_burst = root.as_bool("adaptive_burst");
-  plan.executor = executor_from_string(root.as_str("executor"));
   plan.pool_threads = static_cast<unsigned>(root.as_size("pool_threads"));
-  plan.pin_threads = root.as_bool("pin_threads");
-  plan.pin_offset = static_cast<unsigned>(root.as_size("pin_offset"));
   plan.backend = root.as_str("backend");
   for (const JVal& v : root.as_arr("cut_after_nodes")) {
     plan.cut_after_nodes.push_back(static_cast<int>(v.num));

@@ -984,14 +984,6 @@ DfeServer::DfeServer(const NetworkSpec& spec, const NetworkParams& params,
   impl_->spec = spec;
   impl_->params = params;
   impl_->replicas.reserve(static_cast<std::size_t>(total));
-  // Replica pools share one pinning map: each replica's engine gets a core
-  // window staggered by its worker count, so with pin_threads set four
-  // replicas tile the machine instead of all binding worker 0 to core 0.
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  const unsigned pin_stride =
-      session_config.engine.pool_threads != 0
-          ? session_config.engine.pool_threads
-          : std::max(1u, hw / static_cast<unsigned>(std::max(1, total)));
   int fast_traffic = 0;
   int traffic = 0;
   for (const ServerConfig::PoolEntry& e : pool) {
@@ -1003,9 +995,6 @@ DfeServer::DfeServer(const NetworkSpec& spec, const NetworkParams& params,
       SessionConfig replica_config = session_config;
       replica_config.backend = e.backend;
       replica_config.engine.fault_replica = i;
-      replica_config.engine.pin_offset =
-          session_config.engine.pin_offset +
-          static_cast<unsigned>(i) * pin_stride;
       impl_->replicas.push_back(std::make_unique<Impl::Replica>(
           DfeSession::compile(spec, params, replica_config),
           replica_config));
@@ -1016,25 +1005,6 @@ DfeServer::DfeServer(const NetworkSpec& spec, const NetworkParams& params,
       } else {
         impl_->have_shadow = true;
       }
-    }
-  }
-  if (session_config.engine.pin_threads) {
-    // Lint the pool's core tiling (verify/plan_check.h): a stagger bug, an
-    // oversized plan-frozen pool_threads or simply more replicas than the
-    // machine has cores makes windows collide — correctness is unaffected,
-    // so findings are logged, not fatal.
-    std::vector<ReplicaPinWindow> windows;
-    windows.reserve(impl_->replicas.size());
-    for (std::size_t i = 0; i < impl_->replicas.size(); ++i) {
-      const Impl::Replica& rep = *impl_->replicas[i];
-      windows.push_back(ReplicaPinWindow{
-          "replica " + std::to_string(i) + " (" + rep.backend_name + ")",
-          rep.session_config.engine.pin_offset, pin_stride});
-    }
-    Report pin_report;
-    lint_pool_pinning(windows, pin_report);
-    for (const Diagnostic& d : pin_report.diagnostics()) {
-      if (d.severity != Severity::kInfo) impl_->metrics.log_event(d.str());
     }
   }
   QNN_CHECK(traffic >= 1,

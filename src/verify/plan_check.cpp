@@ -1,7 +1,6 @@
 #include "verify/plan_check.h"
 
-#include <algorithm>
-#include <thread>
+#include <string>
 
 namespace qnn {
 namespace {
@@ -56,8 +55,8 @@ void lint_plan(const Pipeline& pipeline, const CompiledPlan& plan,
                 "field 'key.machine': plan was tuned on '" +
                     plan.key.machine + "' but this host is '" +
                     machine_signature() +
-                    "' — results stay bit-exact, but the frozen executor/"
-                    "pinning/burst knobs were chosen for that core count");
+                    "' — results stay bit-exact, but the frozen worker "
+                    "count and bursts were chosen for that core count");
   }
 
   // ---- structural integrity of the frozen FIFO plan ----------------------
@@ -177,56 +176,6 @@ void lint_plan(const Pipeline& pipeline, const CompiledPlan& plan,
                     std::to_string(plan.fifos.streams.size()) +
                     " streams and " + std::to_string(plan.link_bursts.size()) +
                     " link bursts are consistent");
-  }
-}
-
-void lint_pool_pinning(const std::vector<ReplicaPinWindow>& windows,
-                       Report& report, int hardware_cores) {
-  const unsigned cores =
-      hardware_cores > 0
-          ? static_cast<unsigned>(hardware_cores)
-          : std::max(1u, std::thread::hardware_concurrency());
-  int findings = 0;
-  std::size_t pinned = 0;
-  for (std::size_t i = 0; i < windows.size(); ++i) {
-    const ReplicaPinWindow& a = windows[i];
-    if (a.threads == 0) continue;
-    ++pinned;
-    if (a.pin_offset + a.threads > cores) {
-      // The executor binds worker w to core (pin_offset + w) % cores, so a
-      // window past the end is not "out of range" — it silently wraps onto
-      // core 0 and collides with whoever legitimately owns it.
-      report.warn(diag::kPinOverlap, -1, a.label,
-                  "pin window [" + std::to_string(a.pin_offset) + ", " +
-                      std::to_string(a.pin_offset + a.threads) +
-                      ") extends past the last hardware core (machine has " +
-                      std::to_string(cores) +
-                      ") — the executor wraps pins modulo the core count, "
-                      "an overlap in disguise");
-      ++findings;
-    }
-    for (std::size_t j = i + 1; j < windows.size(); ++j) {
-      const ReplicaPinWindow& b = windows[j];
-      if (b.threads == 0) continue;
-      const unsigned lo = std::max(a.pin_offset, b.pin_offset);
-      const unsigned hi =
-          std::min(a.pin_offset + a.threads, b.pin_offset + b.threads);
-      if (lo < hi) {
-        report.warn(diag::kPinOverlap, -1, a.label,
-                    "pin window overlaps '" + b.label + "' on cores [" +
-                        std::to_string(lo) + ", " + std::to_string(hi) +
-                        ") — the two replicas time-share those cores and "
-                        "the pool's throughput collapses toward one "
-                        "replica's");
-        ++findings;
-      }
-    }
-  }
-  if (findings == 0 && pinned >= 2) {
-    report.info(diag::kPinOverlap, -1, "pool",
-                std::to_string(pinned) +
-                    " pinned replica windows are pairwise disjoint on " +
-                    std::to_string(cores) + " hardware cores");
   }
 }
 

@@ -106,8 +106,6 @@ inline constexpr const char* kProtoExplored = "QNN-D605";     // exploration
                                                               // stats (proof
                                                               // note)
 // --- compiled-plan consistency (verify/plan_check.h) --------------------
-inline constexpr const char* kPinOverlap = "QNN-D610";     // replica pools pin
-                                                           // onto the same core
 inline constexpr const char* kMachineDrift = "QNN-D611";   // cached plan built
                                                            // on another machine
 inline constexpr const char* kBurstFifoSkew = "QNN-D612";  // link burst exceeds

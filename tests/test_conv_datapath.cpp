@@ -5,9 +5,7 @@
 // boundaries (63/64/65/127/129), all-padding windows, strides, filter
 // counts that fill or overhang the dot's 8-filter groups, the paper
 // networks' first layers, multi-image streams, and every SIMD dispatch
-// level available on the host. The
-// scalar-pack datapath is held to the same reference, so the two datapaths
-// are transitively bit-exact against each other.
+// level available on the host.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -17,6 +15,7 @@
 #include "core/bitplanes.h"
 #include "core/simd/vec_ops.h"
 #include "dataflow/kernels.h"
+#include "drive.h"
 #include "test_util.h"
 
 namespace qnn {
@@ -90,27 +89,24 @@ std::vector<std::int32_t> run_conv(const Node& n, const FilterBank& fb,
   std::vector<std::int32_t> out;
   std::thread drainer([&] {
     std::int32_t v = 0;
-    while (sout.pop(v)) out.push_back(v);
+    while (testutil::pop(sout, v)) out.push_back(v);
   });
   std::thread feeder([&] {
     for (const auto& img : images) {
-      for (std::int64_t i = 0; i < img.size(); ++i) sin.push(img[i]);
+      testutil::push(sin, img.flat());
     }
     sin.close();
   });
-  kernel.run();
+  testutil::drive(kernel);
   feeder.join();
   drainer.join();
   return out;
 }
 
-/// Restores the process-wide datapath/SIMD selectors after each test.
+/// Restores the process-wide SIMD selector after each test.
 class ConvDatapathTest : public ::testing::Test {
  protected:
-  void TearDown() override {
-    set_conv_datapath(ConvDatapath::kPacked);
-    simd::set_level(std::nullopt);
-  }
+  void TearDown() override { simd::set_level(std::nullopt); }
 };
 
 struct Geometry {
@@ -160,25 +156,9 @@ TEST_F(ConvDatapathTest, PackedMatchesReferenceAcrossBitsAndGeometries) {
       const Node n = conv_node(g.in, g.out_c, g.k, g.stride, g.pad, bits);
       const FilterBank fb = FilterBank::random(n.filter_shape(), rng);
       const IntTensor img = testutil::random_codes(g.in, bits, rng);
-      const auto expect = reference_conv(n, fb, img);
-      set_conv_datapath(ConvDatapath::kPacked);
-      ASSERT_EQ(run_conv(n, fb, {img}), expect)
+      ASSERT_EQ(run_conv(n, fb, {img}), reference_conv(n, fb, img))
           << "bits=" << bits << " in=" << g.in.h << "x" << g.in.w << "x"
           << g.in.c << " k=" << g.k << " s=" << g.stride << " p=" << g.pad;
-    }
-  }
-}
-
-TEST_F(ConvDatapathTest, ScalarPackMatchesReferenceAcrossGeometries) {
-  Rng rng(0xdadb);
-  set_conv_datapath(ConvDatapath::kScalarPack);
-  for (const int bits : {1, 2, 8}) {
-    for (const auto& g : kGeometries) {
-      const Node n = conv_node(g.in, g.out_c, g.k, g.stride, g.pad, bits);
-      const FilterBank fb = FilterBank::random(n.filter_shape(), rng);
-      const IntTensor img = testutil::random_codes(g.in, bits, rng);
-      ASSERT_EQ(run_conv(n, fb, {img}), reference_conv(n, fb, img))
-          << "bits=" << bits << " k=" << g.k;
     }
   }
 }
@@ -225,20 +205,24 @@ TEST_F(ConvDatapathTest, PackedHandlesMultipleImagesBackToBack) {
   EXPECT_EQ(run_conv(n, fb, images), expect);
 }
 
-TEST_F(ConvDatapathTest, PackedAndScalarPackAgreeOnAllPaddingWindows) {
+TEST_F(ConvDatapathTest, PackedMatchesReferenceOnAllPaddingWindows) {
   // pad = 2 with k = 2: the four corner windows contain no real value at
   // all, so the line buffer rows they read were never written by an
-  // ingest — only recycled (zero-cleared).
+  // ingest — only recycled (zero-cleared). Two images back to back, so
+  // the second image's corners read rows the first one left behind.
   Rng rng(0xdade);
   const Node n = conv_node({4, 4, 7}, 2, 2, 1, 2, 2);
   const FilterBank fb = FilterBank::random(n.filter_shape(), rng);
-  const IntTensor img = testutil::random_codes(n.in, 2, rng);
-  set_conv_datapath(ConvDatapath::kPacked);
-  const auto packed = run_conv(n, fb, {img});
-  set_conv_datapath(ConvDatapath::kScalarPack);
-  const auto scalar = run_conv(n, fb, {img});
-  EXPECT_EQ(packed, scalar);
-  EXPECT_EQ(packed, reference_conv(n, fb, img));
+  const IntTensor a = testutil::random_codes(n.in, 2, rng);
+  const IntTensor b = testutil::random_codes(n.in, 2, rng);
+  std::vector<std::int32_t> expect = reference_conv(n, fb, a);
+  const auto second = reference_conv(n, fb, b);
+  expect.insert(expect.end(), second.begin(), second.end());
+  for (const simd::Level level : simd::available_levels()) {
+    simd::set_level(level);
+    EXPECT_EQ(run_conv(n, fb, {a, b}), expect)
+        << "level=" << simd::level_name(level);
+  }
 }
 
 }  // namespace

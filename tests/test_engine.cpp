@@ -15,7 +15,7 @@ namespace {
 
 /// The central correctness claim: the streaming engine is bit-exact
 /// against the golden layer-by-layer reference executor — under every
-/// executor model and burst size.
+/// burst size.
 void expect_engine_matches_reference(const NetworkSpec& spec,
                                      std::uint64_t seed, int images,
                                      EngineOptions opt = {}) {
@@ -167,20 +167,8 @@ TEST(Engine, RejectsWrongImageShape) {
   EXPECT_THROW((void)engine.run_one(IntTensor(Shape{8, 8, 3})), Error);
 }
 
-const char* kind_name(ExecutorKind kind) {
-  switch (kind) {
-    case ExecutorKind::kThreadPerKernel:
-      return "thread-per-kernel";
-    case ExecutorKind::kPooled:
-      return "pooled";
-    case ExecutorKind::kReadyQueue:
-      return "ready-queue";
-  }
-  return "?";
-}
-
-// Every zoo-style topology must be bit-exact in every executor mode and
-// at both ends of the burst spectrum (1 = scalar transport).
+// Every zoo-style topology must be bit-exact at both ends of the burst
+// spectrum (1 = scalar transport).
 TEST(EngineExecutors, BitExactAcrossExecutorAndBurstMatrix) {
   NetworkSpec res;
   res.name = "res_matrix";
@@ -196,17 +184,11 @@ TEST(EngineExecutors, BitExactAcrossExecutorAndBurstMatrix) {
                                models::finn_cnv(10, 2)};
   std::uint64_t seed = 31;
   for (const NetworkSpec& spec : specs) {
-    for (const ExecutorKind kind :
-         {ExecutorKind::kThreadPerKernel, ExecutorKind::kPooled,
-          ExecutorKind::kReadyQueue}) {
-      for (const std::size_t burst : {std::size_t{1}, std::size_t{256}}) {
-        EngineOptions opt;
-        opt.executor = kind;
-        opt.burst = burst;
-        SCOPED_TRACE(spec.name + " burst=" + std::to_string(burst) + " " +
-                     kind_name(kind));
-        expect_engine_matches_reference(spec, seed++, 2, opt);
-      }
+    for (const std::size_t burst : {std::size_t{1}, std::size_t{256}}) {
+      EngineOptions opt;
+      opt.burst = burst;
+      SCOPED_TRACE(spec.name + " burst=" + std::to_string(burst));
+      expect_engine_matches_reference(spec, seed++, 2, opt);
     }
   }
 }
@@ -214,7 +196,7 @@ TEST(EngineExecutors, BitExactAcrossExecutorAndBurstMatrix) {
 // Adaptive per-edge burst sizing is a transport decision, never a
 // numerical one: the same zoo topologies must produce identical outputs
 // with row-sized per-edge bursts and with uniform scalar transport
-// (burst = 1, adaptive off), under both cooperative executors.
+// (burst = 1, adaptive off).
 TEST(EngineExecutors, AdaptiveBurstsBitExactWithScalarTransport) {
   NetworkSpec res;
   res.name = "res_adaptive";
@@ -240,23 +222,18 @@ TEST(EngineExecutors, AdaptiveBurstsBitExactWithScalarTransport) {
           testutil::random_codes(spec.input, spec.input_bits, rng));
     }
 
-    EngineOptions adaptive;  // defaults: adaptive per-edge, ready queue
+    EngineOptions adaptive;  // defaults: adaptive per-edge bursts
     StreamEngine baseline(p, params, adaptive);
     const auto want = baseline.run(batch);
 
-    for (const ExecutorKind kind :
-         {ExecutorKind::kPooled, ExecutorKind::kReadyQueue}) {
-      EngineOptions scalar;
-      scalar.executor = kind;
-      scalar.burst = 1;
-      scalar.adaptive_burst = false;
-      StreamEngine engine(p, params, scalar);
-      const auto got = engine.run(batch);
-      ASSERT_EQ(got.size(), want.size());
-      for (std::size_t i = 0; i < want.size(); ++i) {
-        EXPECT_EQ(got[i], want[i])
-            << spec.name << " image " << i << " " << kind_name(kind);
-      }
+    EngineOptions scalar;
+    scalar.burst = 1;
+    scalar.adaptive_burst = false;
+    StreamEngine engine(p, params, scalar);
+    const auto got = engine.run(batch);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i], want[i]) << spec.name << " image " << i;
     }
   }
 }
@@ -266,33 +243,41 @@ TEST(EngineExecutors, AdaptiveBurstsBitExactWithScalarTransport) {
 // fully reusable — the next run starts from pristine streams and kernels
 // and stays bit-exact.
 TEST(EngineRecovery, RecoversAfterCancelledRunInEveryMode) {
-  for (const ExecutorKind kind :
-       {ExecutorKind::kThreadPerKernel, ExecutorKind::kPooled,
-        ExecutorKind::kReadyQueue}) {
-    EngineOptions opt;
-    opt.executor = kind;
-    const Pipeline p = expand(models::tiny(12, 4, 2));
+  NetworkSpec res;
+  res.name = "res_recover";
+  res.input = Shape{12, 12, 3};
+  res.conv(4, 3, 1, 1);
+  res.residual(8, 2);
+  res.avg_pool_global();
+  res.dense(4, false);
+  const NetworkSpec specs[] = {models::tiny(12, 4, 2), res};
+  for (const NetworkSpec& spec : specs) {
+    const Pipeline p = expand(spec);
     const NetworkParams params = NetworkParams::random(p, 29);
-    StreamEngine engine(p, params, opt);
-    Rng rng(30);
-    const IntTensor img = testutil::random_image(12, 12, 3, rng);
-    const IntTensor good = engine.run_one(img);
+    for (const std::size_t burst : {std::size_t{1}, std::size_t{256}}) {
+      SCOPED_TRACE(spec.name + " burst=" + std::to_string(burst));
+      EngineOptions opt;
+      opt.burst = burst;
+      StreamEngine engine(p, params, opt);
+      Rng rng(30);
+      const IntTensor img = testutil::random_image(12, 12, 3, rng);
+      const IntTensor good = engine.run_one(img);
 
-    std::vector<IntTensor> batch;
-    for (int i = 0; i < 64; ++i) batch.push_back(img);
-    std::atomic<bool> stop{false};
-    // Hammer cancel() so the abort lands inside the run with certainty.
-    std::thread canceller([&] {
-      while (!stop.load()) {
-        engine.cancel();
-        std::this_thread::yield();
-      }
-    });
-    EXPECT_THROW((void)engine.run(batch), Error);
-    stop.store(true);
-    canceller.join();
+      const std::vector<IntTensor> batch(64, img);
+      std::atomic<bool> stop{false};
+      // Hammer cancel() so the abort lands inside the run with certainty.
+      std::thread canceller([&] {
+        while (!stop.load()) {
+          engine.cancel();
+          std::this_thread::yield();
+        }
+      });
+      EXPECT_THROW((void)engine.run(batch), Error);
+      stop.store(true);
+      canceller.join();
 
-    EXPECT_EQ(engine.run_one(img), good) << kind_name(kind);
+      EXPECT_EQ(engine.run_one(img), good);
+    }
   }
 }
 
@@ -337,18 +322,18 @@ TEST(EngineRecovery, RunStatsPristineAfterCancelledRun) {
 }
 
 // Satellite regression: cancel() landing while ready-queue workers are
-// PARKED. With pool_threads far above this machine's core count most
-// workers sit on the parking lot with ReadyHook bindings armed on the
-// streams their tasks last blocked on; only RUNNING tasks poll the abort
-// flag, so cancellation correctness rests on the executor's quiescence
-// path waking every parker. The staggered delays land the cancel in
-// different protocol states (feeder active, pipe draining, workers mostly
-// parked); whichever state it hits, the run must either complete or throw
-// — never hang — and the engine must re-arm bit-exactly.
+// PARKED. A tiny pipeline keeps few kernels runnable at once, so most of
+// a pool as wide as the machine sits on the parking lot with ReadyHook
+// bindings armed on the streams their tasks last blocked on; only RUNNING
+// tasks poll the abort flag, so cancellation correctness rests on the
+// executor's quiescence path waking every parker. The staggered delays
+// land the cancel in different protocol states (feeder active, pipe
+// draining, workers mostly parked); whichever state it hits, the run must
+// either complete or throw — never hang — and the engine must re-arm
+// bit-exactly.
 TEST(EngineRecovery, CancelWakesParkedReadyQueueWorkers) {
   EngineOptions opt;
-  opt.executor = ExecutorKind::kReadyQueue;
-  opt.pool_threads = 8;  // >> cores in CI: parking is guaranteed
+  opt.pool_threads = 8;  // clamped to the core count
   const Pipeline p = expand(models::tiny(12, 4, 2));
   const NetworkParams params = NetworkParams::random(p, 41);
   StreamEngine engine(p, params, opt);

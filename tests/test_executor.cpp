@@ -1,6 +1,6 @@
 // Scheduler-level tests of the ready-queue work-stealing executor: deep
-// chains across thread counts, cancel/reset under stealing, core-pinning
-// smoke, error propagation, and the rescue-sweep liveness backstop for
+// chains across thread counts (including a request above the core count),
+// cancel/reset under stealing, error propagation, and the rescue-sweep liveness backstop for
 // kernels that bind no streams. All of these run under TSan via the
 // `sanitize` label — the readiness protocol's happens-before chain
 // (state CASes + deque mutexes) is exactly what TSan checks.
@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "dataflow/engine.h"
-#include "models/zoo.h"
 #include "nn/reference.h"
 #include "test_util.h"
 
@@ -48,9 +47,10 @@ TEST(ReadyQueue, DeepChainBitExactAcrossThreadCounts) {
   std::vector<IntTensor> want;
   for (const IntTensor& img : batch) want.push_back(ref.run(img));
 
+  // 8 exceeds the core count of most CI hosts: the executor clamps the
+  // pool to the cores and must stay bit-exact doing so.
   for (const unsigned threads : {1u, 2u, 3u, 8u}) {
     EngineOptions opt;
-    opt.executor = ExecutorKind::kReadyQueue;
     opt.pool_threads = threads;
     StreamEngine engine(p, params, opt);
     const auto got = engine.run(batch);
@@ -59,26 +59,6 @@ TEST(ReadyQueue, DeepChainBitExactAcrossThreadCounts) {
       EXPECT_EQ(got[i], want[i]) << "threads=" << threads << " image " << i;
     }
   }
-}
-
-TEST(ReadyQueue, PinnedWorkersStayBitExact) {
-  const NetworkSpec spec = models::tiny(12, 4, 2);
-  const Pipeline p = expand(spec);
-  const NetworkParams params = NetworkParams::random(p, 43);
-  Rng rng(44);
-  const IntTensor img = testutil::random_image(12, 12, 3, rng);
-
-  StreamEngine plain(p, params);
-  const IntTensor want = plain.run_one(img);
-
-  EngineOptions opt;
-  opt.executor = ExecutorKind::kReadyQueue;
-  opt.pool_threads = 3;
-  opt.pin_threads = true;
-  opt.pin_offset = 1;  // replica-style staggered window
-  StreamEngine pinned(p, params, opt);
-  EXPECT_EQ(pinned.run_one(img), want);
-  EXPECT_EQ(pinned.run_one(img), want);  // reusable when pinned, too
 }
 
 // Cancelling a deep multi-worker run lands the abort while tasks are
@@ -90,7 +70,6 @@ TEST(ReadyQueue, CancelUnderStealRecovers) {
   const Pipeline p = expand(spec);
   const NetworkParams params = NetworkParams::random(p, 45);
   EngineOptions opt;
-  opt.executor = ExecutorKind::kReadyQueue;
   opt.pool_threads = 4;
   StreamEngine engine(p, params, opt);
   Rng rng(46);

@@ -150,26 +150,22 @@ TEST(Fault, KernelExceptionAbortsRunAndEngineStaysReusable) {
   const TinyNet net;
   const ReferenceExecutor ref = net.reference();
   const std::vector<IntTensor> batch = net.batch(2, 72);
-  for (const ExecutorKind kind :
-       {ExecutorKind::kThreadPerKernel, ExecutorKind::kPooled}) {
-    EngineOptions opt;
-    opt.executor = kind;
-    FaultEvent e = FaultPlan::kernel_throw("", /*run=*/0, /*step=*/0);
-    e.target_index = 0;  // first registered kernel, whatever its name
-    opt.faults.add(e);
-    StreamEngine engine(net.pipeline, net.params, opt);
-    try {
-      (void)engine.run(batch);
-      FAIL() << "run with an armed kernel exception must throw";
-    } catch (const Error& err) {
-      EXPECT_NE(std::string(err.what()).find("injected"), std::string::npos)
-          << err.what();
-    }
-    // The fault window has passed: the same engine heals completely.
-    const std::vector<IntTensor> clean = engine.run(batch);
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      EXPECT_EQ(clean[i], ref.run(batch[i])) << i;
-    }
+  EngineOptions opt;
+  FaultEvent e = FaultPlan::kernel_throw("", /*run=*/0, /*step=*/0);
+  e.target_index = 0;  // first registered kernel, whatever its name
+  opt.faults.add(e);
+  StreamEngine engine(net.pipeline, net.params, opt);
+  try {
+    (void)engine.run(batch);
+    FAIL() << "run with an armed kernel exception must throw";
+  } catch (const Error& err) {
+    EXPECT_NE(std::string(err.what()).find("injected"), std::string::npos)
+        << err.what();
+  }
+  // The fault window has passed: the same engine heals completely.
+  const std::vector<IntTensor> clean = engine.run(batch);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(clean[i], ref.run(batch[i])) << i;
   }
 }
 

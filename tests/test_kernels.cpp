@@ -6,6 +6,7 @@
 
 #include <thread>
 
+#include "drive.h"
 #include "test_util.h"
 
 namespace qnn {
@@ -29,14 +30,14 @@ Node conv_node(Shape in, int out_c, int k, int stride, int pad,
 
 /// Push a whole tensor depth-first, then optionally close.
 void feed(Stream& s, const IntTensor& t, bool close) {
-  for (std::int64_t i = 0; i < t.size(); ++i) s.push(t[i]);
+  testutil::push(s, t.flat());
   if (close) s.close();
 }
 
 std::vector<std::int32_t> drain(Stream& s) {
   std::vector<std::int32_t> out;
   std::int32_t v;
-  while (s.pop(v)) out.push_back(v);
+  while (testutil::pop(s, v)) out.push_back(v);
   return out;
 }
 
@@ -56,7 +57,7 @@ TEST(ConvKernelTest, AllPlusOneFilterComputesWindowSums) {
     for (int x = 0; x < 4; ++x) img.at(y, x, 0) = y * 4 + x;
   }
   std::thread feeder([&] { feed(sin, img, true); });
-  kernel.run();
+  testutil::drive(kernel);
   feeder.join();
   const auto out = drain(sout);
   ASSERT_EQ(out.size(), 9u);  // 3x3 output positions
@@ -75,7 +76,7 @@ TEST(ConvKernelTest, EmitsAllFiltersPerPosition) {
   ConvKernel kernel(n, fb, sin, sout);
   IntTensor img = testutil::random_codes(in, 2, rng);
   std::thread feeder([&] { feed(sin, img, true); });
-  kernel.run();
+  testutil::drive(kernel);
   feeder.join();
   const auto out = drain(sout);
   ASSERT_EQ(out.size(), 3u);  // one position, three filters
@@ -107,7 +108,7 @@ TEST(ConvKernelTest, ProcessesMultipleImagesBackToBack) {
     feed(sin, a, false);
     feed(sin, b, true);
   });
-  kernel.run();
+  testutil::drive(kernel);
   feeder.join();
   const auto out = drain(sout);
   ASSERT_EQ(out.size(), 2u);
@@ -124,10 +125,10 @@ TEST(ConvKernelTest, ClosedMidImageIsProtocolError) {
   Stream sout(64, 16, "out");
   ConvKernel kernel(n, fb, sin, sout);
   std::thread feeder([&] {
-    for (int i = 0; i < 4; ++i) sin.push(1);  // 4 of 9 values
+    for (int i = 0; i < 4; ++i) testutil::push(sin, 1);  // 4 of 9 values
     sin.close();
   });
-  EXPECT_THROW(kernel.run(), Error);
+  EXPECT_THROW(testutil::drive(kernel), Error);
   feeder.join();
 }
 
@@ -155,7 +156,7 @@ TEST(PoolKernelTest, MaxAndSumReductions) {
   img.at(1, 0, 1) = 9;
   img.at(1, 1, 1) = 4;
   std::thread feeder([&] { feed(sin, img, true); });
-  kernel.run();
+  testutil::drive(kernel);
   feeder.join();
   const auto out = drain(sout);
   ASSERT_EQ(out.size(), 2u);
@@ -169,7 +170,7 @@ TEST(PoolKernelTest, MaxAndSumReductions) {
   Stream sout2(32, 6, "out2");
   PoolKernel sum_kernel(n, sin2, sout2);
   std::thread feeder2([&] { feed(sin2, img, true); });
-  sum_kernel.run();
+  testutil::drive(sum_kernel);
   feeder2.join();
   const auto sums = drain(sout2);
   ASSERT_EQ(sums.size(), 2u);
@@ -226,7 +227,7 @@ TEST(PoolKernelTest, AsymmetricPaddingRegression) {
   Stream sout(64, 6, "out");
   PoolKernel max_kernel(n, sin, sout);
   std::thread feeder([&] { feed(sin, img, true); });
-  max_kernel.run();
+  testutil::drive(max_kernel);
   feeder.join();
   EXPECT_EQ(drain(sout), expect_max);
 
@@ -236,7 +237,7 @@ TEST(PoolKernelTest, AsymmetricPaddingRegression) {
   Stream sout2(64, 8, "out2");
   PoolKernel sum_kernel(n, sin2, sout2);
   std::thread feeder2([&] { feed(sin2, img, true); });
-  sum_kernel.run();
+  testutil::drive(sum_kernel);
   feeder2.join();
   EXPECT_EQ(drain(sout2), expect_sum);
 }
@@ -262,13 +263,13 @@ TEST(BnActKernelTest, PerChannelThresholdsInDepthFirstOrder) {
   BnActKernel kernel(n, thresholds, sin, sout);
   std::thread feeder([&] {
     // (x=0: c0=5, c1=-5), (x=1: c0=1, c1=-7)
-    sin.push(5);
-    sin.push(-5);
-    sin.push(1);
-    sin.push(-7);
+    testutil::push(sin, 5);
+    testutil::push(sin, -5);
+    testutil::push(sin, 1);
+    testutil::push(sin, -7);
     sin.close();
   });
-  kernel.run();
+  testutil::drive(kernel);
   feeder.join();
   const auto out = drain(sout);
   ASSERT_EQ(out.size(), 4u);
@@ -323,10 +324,10 @@ TEST(BnActKernelTest, PhaseCarriesAcrossBurstBoundaries) {
         // Stage the whole input first so every pop returns a full burst.
         Stream sin(in.size(), 32, "in");
         Stream sout(in.size(), 2, "out");
-        for (const std::int32_t a : in) sin.push(a);
+        for (const std::int32_t a : in) testutil::push(sin, a);
         sin.close();
         BnActKernel kernel(n, thresholds, sin, sout, burst);
-        kernel.run();
+        testutil::drive(kernel);
         EXPECT_EQ(drain(sout), expect)
             << simd::level_name(level) << " C=" << channels
             << " burst=" << burst;
@@ -350,12 +351,12 @@ TEST(AddKernelTest, SumsAndPropagatesClose) {
   Stream out(8, 16, "out");
   AddKernel kernel(n, main, skip, out);
   std::thread feeder([&] {
-    for (std::int32_t v : {1, 2, 3}) main.push(v);
-    for (std::int32_t v : {10, 20, 30}) skip.push(v);
+    for (std::int32_t v : {1, 2, 3}) testutil::push(main, v);
+    for (std::int32_t v : {10, 20, 30}) testutil::push(skip, v);
     main.close();
     skip.close();
   });
-  kernel.run();
+  testutil::drive(kernel);
   feeder.join();
   const auto sums = drain(out);
   EXPECT_EQ(sums, (std::vector<std::int32_t>{11, 22, 33}));
@@ -374,13 +375,13 @@ TEST(AddKernelTest, SkipShorterThanMainIsError) {
   Stream out(8, 16, "out");
   AddKernel kernel(n, main, skip, out);
   std::thread feeder([&] {
-    main.push(1);
-    main.push(2);
+    testutil::push(main, 1);
+    testutil::push(main, 2);
     main.close();
-    skip.push(1);
+    testutil::push(skip, 1);
     skip.close();  // one value short
   });
-  EXPECT_THROW(kernel.run(), Error);
+  EXPECT_THROW(testutil::drive(kernel), Error);
   feeder.join();
 }
 
@@ -396,13 +397,13 @@ TEST(AddKernelTest, MainShorterThanSkipIsError) {
   Stream out(8, 16, "out");
   AddKernel kernel(n, main, skip, out);
   std::thread feeder([&] {
-    main.push(1);
+    testutil::push(main, 1);
     main.close();
-    skip.push(1);
-    skip.push(2);  // leftover
+    testutil::push(skip, 1);
+    testutil::push(skip, 2);  // leftover
     skip.close();
   });
-  EXPECT_THROW(kernel.run(), Error);
+  EXPECT_THROW(testutil::drive(kernel), Error);
   feeder.join();
 }
 
@@ -413,10 +414,10 @@ TEST(ForkKernelTest, DuplicatesToAllBranches) {
   Stream c(8, 4, "c");
   ForkKernel kernel("fork_t", in, {&a, &b, &c});
   std::thread feeder([&] {
-    for (std::int32_t v : {4, 5, 6}) in.push(v);
+    for (std::int32_t v : {4, 5, 6}) testutil::push(in, v);
     in.close();
   });
-  kernel.run();
+  testutil::drive(kernel);
   feeder.join();
   const std::vector<std::int32_t> expect{4, 5, 6};
   EXPECT_EQ(drain(a), expect);

@@ -68,7 +68,7 @@ TEST(PlanJson, RoundTripIsByteIdentical) {
   EngineOptions opts;
   opts.burst = 128;
   opts.adaptive_burst = false;
-  opts.executor = ExecutorKind::kPooled;
+  opts.fifo_capacity = 4096;
   opts.pool_threads = 3;
   const CompiledPlan plan =
       compile_plan(net.pipeline, opts, /*slo_us=*/1500, "engine");
@@ -83,7 +83,7 @@ TEST(PlanJson, RoundTripIsByteIdentical) {
   EXPECT_EQ(reparsed.model, plan.model);
   EXPECT_EQ(reparsed.burst, plan.burst);
   EXPECT_EQ(reparsed.adaptive_burst, plan.adaptive_burst);
-  EXPECT_EQ(reparsed.executor, plan.executor);
+  EXPECT_EQ(reparsed.fifo_capacity, plan.fifo_capacity);
   EXPECT_EQ(reparsed.pool_threads, plan.pool_threads);
   EXPECT_EQ(reparsed.backend, plan.backend);
   EXPECT_EQ(reparsed.fifos.streams.size(), plan.fifos.streams.size());
@@ -173,7 +173,6 @@ TEST(Autotune, EveryCandidateIsVerifyCleanBeforeItMayRun) {
   config.live_calibration = false;  // oracle-only: fast and deterministic
   config.bursts = {64, 128};
   config.fifo_capacities = {0};
-  config.pool_threads = {};
   const AutotuneResult result = autotune(net.pipeline, net.params, config);
 
   ASSERT_FALSE(result.candidates.empty());
@@ -204,7 +203,6 @@ TEST(Autotune, TunedPlanIsBitExactAgainstDefaultOnTheZooModel) {
   config.live_calibration = false;
   config.bursts = {64, 256};
   config.fifo_capacities = {0, 4096};
-  config.pool_threads = {2};
   const AutotuneResult result = autotune(net.pipeline, net.params, config);
 
   SessionConfig default_cfg = net.session_config;
@@ -237,8 +235,9 @@ TEST(PlanCacheTest, ServerColdStartLoadsCachedPlanBitExactly) {
   const ScratchDir dir("test_plan_cache.coldstart");
   // Persist a deliberately non-default plan, as qnn_tune would.
   EngineOptions opts;
-  opts.burst = 256;
-  opts.executor = ExecutorKind::kPooled;
+  opts.burst = 64;
+  opts.adaptive_burst = false;
+  opts.fifo_capacity = 4096;
   opts.pool_threads = 2;
   const CompiledPlan tuned = compile_plan(net.pipeline, opts);
   ASSERT_TRUE(PlanCache(dir.path.string()).store(tuned));
@@ -318,6 +317,51 @@ TEST(PlanCacheTest, ColdStartRejectsCachedPlanThatFailsTheLint) {
   const InferenceResult res = server.submit(image);
   ASSERT_EQ(res.status, ServerStatus::kOk) << to_string(res.status);
   EXPECT_EQ(res.logits, ref.run(image));
+}
+
+// A plan file in format version 1 — byte for byte as that version wrote
+// it, with the executor and core-pinning keys version 2 dropped — is a
+// cache MISS on a cold start: no error, no cache-hit event, a freshly
+// derived plan, bit-exact inference.
+TEST(PlanCacheTest, VersionOnePlanIsAColdStartMissNotAnError) {
+  const TinyNet net;
+  const ScratchDir dir("test_plan_cache.v1");
+  EngineOptions opts;
+  opts.burst = 64;
+  opts.pool_threads = 2;
+  const CompiledPlan plan = compile_plan(net.pipeline, opts);
+  std::string v1 = to_json(plan);
+  const auto rewrite = [&v1](const std::string& from, const std::string& to) {
+    const std::size_t at = v1.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    v1.replace(at, from.size(), to);
+  };
+  rewrite("  \"version\": " + std::to_string(kPlanFormatVersion) + ",\n",
+          "  \"version\": 1,\n");
+  rewrite("  \"pool_threads\": 2,\n",
+          "  \"executor\": \"pooled\",\n"
+          "  \"pool_threads\": 2,\n"
+          "  \"pin_threads\": true,\n"
+          "  \"pin_offset\": 1,\n");
+  const PlanCache cache(dir.path.string());
+  {
+    std::ofstream out(cache.path_for(plan.key), std::ios::trunc);
+    out << v1;
+  }
+  EXPECT_FALSE(cache.load(plan.key).has_value());
+
+  SessionConfig warm = net.session_config;
+  warm.plan_cache_dir = dir.path.string();
+  DfeServer server(net.spec, net.params, ServerConfig{}, warm);
+  for (const std::string& event : server.metrics().events()) {
+    EXPECT_EQ(event.find(kPlanCacheHit), std::string::npos) << event;
+  }
+  const ReferenceExecutor ref(net.pipeline, net.params);
+  for (const IntTensor& image : net.batch(3, 66)) {
+    const InferenceResult res = server.submit(image);
+    ASSERT_EQ(res.status, ServerStatus::kOk) << to_string(res.status);
+    EXPECT_EQ(res.logits, ref.run(image));
+  }
 }
 
 // ---- pool shaping ---------------------------------------------------------

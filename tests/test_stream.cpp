@@ -3,36 +3,40 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <numeric>
 #include <random>
 #include <thread>
 #include <vector>
+
+#include "drive.h"
 
 namespace qnn {
 namespace {
 
 TEST(Stream, FifoOrderSingleThread) {
   Stream s(16, 8, "t");
-  for (std::int32_t i = 0; i < 10; ++i) s.push(i);
+  for (std::int32_t i = 0; i < 10; ++i) testutil::push(s, i);
   s.close();
   std::int32_t v;
   for (std::int32_t i = 0; i < 10; ++i) {
-    ASSERT_TRUE(s.pop(v));
+    ASSERT_TRUE(testutil::pop(s, v));
     EXPECT_EQ(v, i);
   }
-  EXPECT_FALSE(s.pop(v));
+  EXPECT_FALSE(testutil::pop(s, v));
 }
 
 TEST(Stream, CloseWithPendingValuesDrains) {
   Stream s(8, 8, "t");
-  s.push(1);
-  s.push(2);
+  testutil::push(s, 1);
+  testutil::push(s, 2);
   s.close();
   std::int32_t v;
-  EXPECT_TRUE(s.pop(v));
-  EXPECT_TRUE(s.pop(v));
-  EXPECT_FALSE(s.pop(v));
-  EXPECT_FALSE(s.pop(v));  // stays closed
+  EXPECT_TRUE(testutil::pop(s, v));
+  EXPECT_TRUE(testutil::pop(s, v));
+  EXPECT_FALSE(testutil::pop(s, v));
+  EXPECT_FALSE(testutil::pop(s, v));  // stays closed
 }
 
 TEST(Stream, ProducerConsumerLargeVolume) {
@@ -42,12 +46,12 @@ TEST(Stream, ProducerConsumerLargeVolume) {
   std::thread consumer([&] {
     std::int32_t v;
     std::int32_t expect = 0;
-    while (s.pop(v)) {
+    while (testutil::pop(s, v)) {
       ASSERT_EQ(v, expect++);  // order preserved under contention
       consumer_sum += v;
     }
   });
-  for (std::int32_t i = 0; i < n; ++i) s.push(i);
+  for (std::int32_t i = 0; i < n; ++i) testutil::push(s, i);
   s.close();
   consumer.join();
   EXPECT_EQ(consumer_sum, n * (n - 1) / 2);
@@ -56,57 +60,19 @@ TEST(Stream, ProducerConsumerLargeVolume) {
 
 TEST(Stream, BackpressureBlocksProducerUntilPopped) {
   Stream s(2, 8, "bp");
-  s.push(1);
-  s.push(2);
+  testutil::push(s, 1);
+  testutil::push(s, 2);
   std::atomic<bool> third_pushed{false};
   std::thread producer([&] {
-    s.push(3);  // must block until a pop frees space
+    testutil::push(s, 3);  // must block until a pop frees space
     third_pushed.store(true);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_FALSE(third_pushed.load());
   std::int32_t v;
-  ASSERT_TRUE(s.pop(v));
+  ASSERT_TRUE(testutil::pop(s, v));
   producer.join();
   EXPECT_TRUE(third_pushed.load());
-}
-
-TEST(Stream, AbortUnblocksBlockedProducer) {
-  std::atomic<bool> abort{false};
-  Stream s(1, 8, "ab");
-  s.set_abort(&abort);
-  s.push(1);
-  std::atomic<bool> threw{false};
-  std::thread producer([&] {
-    try {
-      s.push(2);  // full; blocks until abort fires
-    } catch (const Error&) {
-      threw.store(true);
-    }
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  abort.store(true);
-  producer.join();
-  EXPECT_TRUE(threw.load());
-}
-
-TEST(Stream, AbortUnblocksBlockedConsumer) {
-  std::atomic<bool> abort{false};
-  Stream s(4, 8, "ab2");
-  s.set_abort(&abort);
-  std::atomic<bool> threw{false};
-  std::thread consumer([&] {
-    try {
-      std::int32_t v;
-      s.pop(v);  // empty; blocks until abort fires
-    } catch (const Error&) {
-      threw.store(true);
-    }
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  abort.store(true);
-  consumer.join();
-  EXPECT_TRUE(threw.load());
 }
 
 TEST(Stream, MetadataAccessors) {
@@ -128,43 +94,43 @@ TEST(Stream, ResetReArmsAfterAbandonedRun) {
   // Regression: reset() used to QNN_CHECK(head_ == tail_), so a stream
   // holding values from an aborted run poisoned the engine permanently.
   Stream s(8, 8, "reset");
-  s.push(1);
-  s.push(2);
+  testutil::push(s, 1);
+  testutil::push(s, 2);
   s.close();
   s.reset();
   EXPECT_FALSE(s.closed());
   EXPECT_EQ(s.pushed(), 0u);
   EXPECT_EQ(s.transactions(), 0u);
   EXPECT_EQ(s.push_stalls(), 0u);
-  s.push(7);
+  testutil::push(s, 7);
   s.close();
   std::int32_t v = 0;
-  EXPECT_TRUE(s.pop(v));
+  EXPECT_TRUE(testutil::pop(s, v));
   EXPECT_EQ(v, 7);
-  EXPECT_FALSE(s.pop(v));
+  EXPECT_FALSE(testutil::pop(s, v));
 }
 
 TEST(StreamBurst, BurstRoundTripKeepsOrder) {
   Stream s(64, 8, "burst");
   std::vector<std::int32_t> in(40);
   std::iota(in.begin(), in.end(), 100);
-  s.push_burst(in);
+  testutil::push(s, in);
   s.close();
   std::vector<std::int32_t> out(64);
-  const std::size_t n = s.pop_burst(out);
+  const std::size_t n = testutil::pop(s, out);
   EXPECT_EQ(n, in.size());
   EXPECT_TRUE(std::equal(in.begin(), in.end(), out.begin()));
-  EXPECT_EQ(s.pop_burst(out), 0u);  // closed and drained
+  EXPECT_EQ(testutil::pop(s, out), 0u);  // closed and drained
 }
 
 TEST(StreamBurst, TransactionsCountRingTransfersNotValues) {
   Stream s(64, 8, "tx");
   std::vector<std::int32_t> vs(10);
   std::iota(vs.begin(), vs.end(), 0);
-  s.push_burst(vs);  // fits entirely: one ring transaction
+  testutil::push(s, vs);  // fits entirely: one ring transaction
   EXPECT_EQ(s.pushed(), 10u);
   EXPECT_EQ(s.transactions(), 1u);
-  s.push(42);  // scalar = degenerate burst of one
+  testutil::push(s, 42);  // scalar = degenerate burst of one
   EXPECT_EQ(s.pushed(), 11u);
   EXPECT_EQ(s.transactions(), 2u);
 }
@@ -201,7 +167,7 @@ TEST(StreamBurst, InterleavedScalarAndBurstPreserveFifoOrder) {
       // random size (possibly exceeding free space — partial transfer).
       if (next_in < total) {
         if (rng() % 3 == 0 && used < cap) {
-          s.push(next_in++);
+          testutil::push(s, next_in++);
         } else {
           chunk.clear();
           const std::size_t want = rng() % 7;
@@ -217,7 +183,7 @@ TEST(StreamBurst, InterleavedScalarAndBurstPreserveFifoOrder) {
       // Consumer action: scalar pop when a value is ready, else a burst.
       if (rng() % 3 == 0 && next_in > next_out) {
         std::int32_t v = -1;
-        ASSERT_TRUE(s.pop(v));
+        ASSERT_TRUE(testutil::pop(s, v));
         ASSERT_EQ(v, next_out++) << "cap " << cap;
       } else {
         const std::size_t want = rng() % (out.size() - 1) + 1;
@@ -245,7 +211,7 @@ TEST(StreamBurst, TwoThreadBurstStressKeepsSequence) {
     std::size_t want = 1;
     for (;;) {
       const std::size_t n =
-          s.pop_burst(std::span<std::int32_t>(buf).first(want));
+          testutil::pop(s, std::span<std::int32_t>(buf).first(want));
       if (n == 0) break;  // closed and drained
       for (std::size_t i = 0; i < n; ++i) {
         ASSERT_EQ(buf[i], expect++);
@@ -260,7 +226,7 @@ TEST(StreamBurst, TwoThreadBurstStressKeepsSequence) {
   std::size_t len = 1;
   while (!rest.empty()) {
     const std::size_t n = std::min(len, rest.size());
-    s.push_burst(rest.first(n));
+    testutil::push(s, rest.first(n));
     rest = rest.subspan(n);
     len = len % 97 + 1;
   }
@@ -393,12 +359,12 @@ TEST(StreamReadiness, ResetKeepsHookBindingsAndWakeContractArmed) {
   EXPECT_TRUE(hook.wakes().empty());  // reset itself is not a transaction
 
   // Next run: the very first push still wakes the consumer task...
-  s.push(42);
+  testutil::push(s, 42);
   EXPECT_EQ(hook.wakes(), (std::vector<int>{7}));
   hook.clear();
   // ...the stale values are gone (FIFO re-armed, not merely reopened)...
   std::int32_t v = 0;
-  ASSERT_TRUE(s.pop(v));
+  ASSERT_TRUE(testutil::pop(s, v));
   EXPECT_EQ(v, 42);
   // ...and the pop woke the producer side, close wakes the consumer.
   EXPECT_EQ(hook.wakes(), (std::vector<int>{3}));

@@ -63,7 +63,7 @@ TEST(Verify, TinyVerifiesCleanWithProofNotes) {
   EXPECT_TRUE(r.has(diag::kSkipCapacity));
 }
 
-TEST(Verify, ZooModelsVerifyCleanUnderBothExecutors) {
+TEST(Verify, ZooModelsVerifyClean) {
   const NetworkSpec specs[] = {
       models::tiny(12, 4, 2),          models::vgg_like(16, 10, 2),
       models::finn_cnv(10, 2),         models::resnet18(32, 10, 2),
@@ -73,14 +73,9 @@ TEST(Verify, ZooModelsVerifyCleanUnderBothExecutors) {
   for (const NetworkSpec& spec : specs) {
     const Pipeline p = expand(spec);
     const NetworkParams params = NetworkParams::random(p, 11);
-    for (const ExecutorKind executor :
-         {ExecutorKind::kThreadPerKernel, ExecutorKind::kPooled}) {
-      EngineOptions options;
-      options.executor = executor;
-      const Report r = verify_graph(p, &params, options);
-      EXPECT_TRUE(r.ok()) << spec.name << ":\n" << r.str();
-      EXPECT_EQ(r.warnings(), 0) << spec.name << ":\n" << r.str();
-    }
+    const Report r = verify_graph(p, &params, EngineOptions{});
+    EXPECT_TRUE(r.ok()) << spec.name << ":\n" << r.str();
+    EXPECT_EQ(r.warnings(), 0) << spec.name << ":\n" << r.str();
   }
 }
 
@@ -745,46 +740,6 @@ TEST(PlanLint, VerifyGraphRunsTheLintOnArmedPlans) {
     EXPECT_NE(std::string(e.what()).find("QNN-D612"), std::string::npos)
         << e.what();
   }
-}
-
-// ------------------------------------- replica pool pinning (D610)
-
-TEST(PlanLint, OverlappingPinWindowsAreD610) {
-  Report r;
-  lint_pool_pinning({{"replica 0 (engine)", 0, 4},
-                     {"replica 1 (engine)", 2, 4}},
-                    r, /*hardware_cores=*/16);
-  EXPECT_TRUE(r.ok());  // throughput hazard, not a correctness error
-  EXPECT_TRUE(has_diag(r, diag::kPinOverlap, Severity::kWarning,
-                       "overlaps 'replica 1 (engine)' on cores [2, 4)"))
-      << r.str();
-}
-
-TEST(PlanLint, DisjointPinWindowsLintCleanWithInfoNote) {
-  Report r;
-  lint_pool_pinning({{"replica 0", 0, 4},
-                     {"replica 1", 4, 4},
-                     {"replica 2", 8, 4}},
-                    r, /*hardware_cores=*/16);
-  EXPECT_EQ(r.warnings(), 0) << r.str();
-  EXPECT_TRUE(has_diag(r, diag::kPinOverlap, Severity::kInfo,
-                       "pairwise disjoint"))
-      << r.str();
-}
-
-TEST(PlanLint, WindowPastTheLastCoreIsD610BecausePinsWrap) {
-  Report r;
-  lint_pool_pinning({{"replica 0", 14, 4}}, r, /*hardware_cores=*/16);
-  EXPECT_TRUE(has_diag(r, diag::kPinOverlap, Severity::kWarning,
-                       "wraps pins modulo the core count"))
-      << r.str();
-}
-
-TEST(PlanLint, UnpinnedWindowsAreIgnored) {
-  Report r;
-  lint_pool_pinning({{"replica 0", 0, 0}, {"replica 1", 0, 0}}, r,
-                    /*hardware_cores=*/16);
-  EXPECT_EQ(static_cast<int>(r.diagnostics().size()), 0) << r.str();
 }
 
 }  // namespace

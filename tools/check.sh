@@ -13,27 +13,24 @@
 #                                   # partitioned MaxRing link soak:
 #                                   # mid-run link death, failover,
 #                                   # serving through it)
-#   PERF=1 tools/check.sh           # additionally run the executor
-#                                   # ablation (fail if the ready-queue
-#                                   # shallow-chain throughput regresses
-#                                   # >10% against BENCH_executor.json), the
-#                                   # conv-datapath ablation (fail unless
-#                                   # packed+SIMD conv stays >= 3x the
-#                                   # scalar re-pack datapath and >= 0.8x
-#                                   # the committed BENCH_kernels.json
-#                                   # geomean), the
-#                                   # mixed-pool serving ablation (fail
-#                                   # unless deadline routing beats naive
-#                                   # routing >= 1.3x on tight goodput),
-#                                   # the autotuned-plan ablation (fail
-#                                   # if the tuned plan loses on any
-#                                   # throughput metric, replaying
+#   PERF=1 tools/check.sh           # additionally run the perf benches
+#                                   # and hold their BENCH_*.json to
+#                                   # tools/bench_gate.py: absolute
+#                                   # floors on the executor's shallow
+#                                   # and deep chains and on packed+SIMD
+#                                   # conv per cell, the live
+#                                   # SIMD-vs-scalar conv ratio, the
+#                                   # mixed-pool serving ablation
+#                                   # (deadline routing >= 1.3x naive
+#                                   # on tight goodput), the
+#                                   # autotuned-plan ablation (the tuned
+#                                   # plan loses on no throughput metric;
+#                                   # capacity held to the committed
 #                                   # BENCH_autotune.json), and the
-#                                   # link-fault serving ablation (fail
-#                                   # unless a farm with a dead MaxRing
-#                                   # link holds >= 0.70x healthy
-#                                   # throughput with zero lost requests,
-#                                   # replaying BENCH_linkfault.json)
+#                                   # link-fault serving ablation (a farm
+#                                   # with a dead MaxRing link holds
+#                                   # >= 0.70x healthy throughput with
+#                                   # zero lost requests)
 #   TUNE=1 tools/check.sh           # additionally run a bounded qnn_tune
 #                                   # --check pass (fail if the tuned plan
 #                                   # lost to the default on the deciding
@@ -96,124 +93,42 @@ if [ -n "$CHAOS" ]; then
 fi
 
 if [ -n "$PERF" ]; then
-  echo "== perf (executor ablation vs recorded baseline) =="
-  # The ablation's own exit code enforces the ready-vs-pooled bars
-  # (shallow >= 0.95x, deep >= 1.5x); the python step additionally pins
-  # the ready-queue shallow-chain throughput to the committed baseline so
-  # a scheduler regression that still clears the relative bar is caught.
+  # Each bench writes its fresh BENCH_*.json into the build directory;
+  # tools/bench_gate.py holds it (and the committed one in the repository
+  # root) to the recorded floors and bars.
+  echo "== perf (executor: absolute floors on the ready-queue chains) =="
   QNN_CSV_DIR="$BUILD_DIR" \
     "$BUILD_DIR/bench/bench_micro_kernels" --benchmark_filter=__none__
-  python3 - "$BUILD_DIR/BENCH_executor.json" BENCH_executor.json <<'EOF'
-import json, sys
+  python3 tools/bench_gate.py executor \
+    "$BUILD_DIR/BENCH_executor.json" BENCH_executor.json
 
-def ready_ips(path, chain):
-    doc = json.load(open(path))
-    for entry in doc["chains"]:
-        if entry["chain"] == chain:
-            for cfg in entry["configs"]:
-                if cfg["label"] == "ready-queue":
-                    return cfg["images_per_second"]
-    raise SystemExit(f"{path}: no ready-queue entry for chain {chain!r}")
-
-fresh = ready_ips(sys.argv[1], "shallow")
-base = ready_ips(sys.argv[2], "shallow")
-floor = 0.9 * base
-print(f"ready-queue shallow: fresh {fresh:.0f} images/s, "
-      f"baseline {base:.0f}, floor {floor:.0f} (90%)")
-if fresh < floor:
-    raise SystemExit("perf gate: ready-queue shallow-chain throughput "
-                     "regressed >10% vs BENCH_executor.json")
-print("perf gate: within 10% of recorded baseline")
-EOF
-
-  echo "== perf (conv datapath ablation vs recorded baseline) =="
-  # Exit code enforces the live bar (packed + SIMD conv throughput >= 3x
-  # the per-window scalar re-pack datapath — 2x on hosts without AVX2);
-  # the python step holds the COMMITTED BENCH_kernels.json to its own
-  # recorded bar and pins the fresh geomean to >= 0.8x the committed one,
-  # so a datapath regression that still clears the relative bar is caught.
+  echo "== perf (conv datapath: per-cell floors, SIMD-vs-scalar bar) =="
   QNN_CSV_DIR="$BUILD_DIR" \
     "$BUILD_DIR/bench/bench_micro_kernels" --conv-datapath-only
-  python3 - "$BUILD_DIR/BENCH_kernels.json" BENCH_kernels.json <<'EOF'
-import json, sys
-
-fresh = json.load(open(sys.argv[1]))
-base = json.load(open(sys.argv[2]))
-if not base["pass"]:
-    raise SystemExit("perf gate: committed BENCH_kernels.json does not "
-                     "meet its recorded bar (pass != true) — re-record it")
-floor = 0.8 * base["geomean_simd_vs_scalarpack"]
-print(f"conv datapath geomean speedup: fresh "
-      f"{fresh['geomean_simd_vs_scalarpack']:.2f}x, baseline "
-      f"{base['geomean_simd_vs_scalarpack']:.2f}x, floor {floor:.2f}x")
-if fresh["geomean_simd_vs_scalarpack"] < floor:
-    raise SystemExit("perf gate: packed+SIMD conv speedup collapsed vs "
-                     "BENCH_kernels.json")
-print("perf gate: packed conv datapath holds its recorded margin")
-EOF
+  python3 tools/bench_gate.py kernels \
+    "$BUILD_DIR/BENCH_kernels.json" BENCH_kernels.json
 
   echo "== perf (mixed-pool serving ablation: routing >= 1.3x naive) =="
-  # Exit code enforces the bar; the json lands next to the executor one.
+  # Exit code enforces the bar; the json lands next to the others.
   QNN_CSV_DIR="$BUILD_DIR" \
     "$BUILD_DIR/bench/bench_serving" --backends-only
 
   echo "== perf (autotuned-plan ablation vs recorded baseline) =="
   # The ablation's exit code enforces the noise-robust bar (the tuned plan
   # loses on NO throughput metric: raw >= 0.90x, capacity >= 0.90x — both
-  # arms are compiled live and every repeat interleaves them, so the
-  # ratios are immune to machine mood). The python step then checks the
-  # COMMITTED artifact carries the headline win (>= 1.15x throughput or
-  # <= 0.87x p99) and that the fresh capacity ratio has not collapsed
-  # against it.
+  # arms are compiled live and every repeat interleaves them).
   QNN_CSV_DIR="$BUILD_DIR" \
     "$BUILD_DIR/bench/bench_serving" --autotune-only
-  python3 - "$BUILD_DIR/BENCH_autotune.json" BENCH_autotune.json <<'EOF'
-import json, sys
-
-fresh = json.load(open(sys.argv[1]))
-base = json.load(open(sys.argv[2]))
-if not base["pass"]:
-    raise SystemExit("perf gate: committed BENCH_autotune.json does not "
-                     "meet the recorded bar (pass != true) — re-record it")
-floor = 0.85 * min(base["throughput_ratio"], 1.0)
-print(f"autotune capacity ratio: fresh {fresh['throughput_ratio']:.3f}, "
-      f"baseline {base['throughput_ratio']:.3f}, floor {floor:.3f}")
-if fresh["throughput_ratio"] < floor:
-    raise SystemExit("perf gate: tuned-vs-default serving capacity "
-                     "collapsed vs BENCH_autotune.json")
-print("perf gate: autotuned plan holds its recorded margin")
-EOF
+  python3 tools/bench_gate.py autotune \
+    "$BUILD_DIR/BENCH_autotune.json" BENCH_autotune.json
 
   echo "== perf (link-fault serving ablation vs recorded baseline) =="
-  # The ablation's exit code enforces the robustness bar live (a farm with
-  # a dead MaxRing link serves >= 0.70x the healthy farm's throughput,
-  # zero lost requests, failover observed — both farms run interleaved
-  # windows, so the ratio is immune to machine mood). The python step
-  # holds the COMMITTED artifact to the same structural bar, so a
-  # re-recording can never quietly lower it.
+  # The ablation's exit code enforces the robustness bar live (both farms
+  # run interleaved windows, so the ratio is immune to machine mood).
   QNN_CSV_DIR="$BUILD_DIR" \
     "$BUILD_DIR/bench/bench_serving" --link-fault-only
-  python3 - "$BUILD_DIR/BENCH_linkfault.json" BENCH_linkfault.json <<'EOF'
-import json, sys
-
-fresh = json.load(open(sys.argv[1]))
-base = json.load(open(sys.argv[2]))
-for name, doc in (("fresh", fresh), ("committed", base)):
-    if not doc["zero_lost"]:
-        raise SystemExit(f"perf gate: {name} BENCH_linkfault.json lost "
-                         "requests through the link death")
-    if not doc["failover_observed"]:
-        raise SystemExit(f"perf gate: {name} BENCH_linkfault.json never "
-                         "observed the degraded-plan failover")
-    if doc["degraded_over_healthy"] < 0.70:
-        raise SystemExit(f"perf gate: {name} degraded/healthy throughput "
-                         f"{doc['degraded_over_healthy']:.2f} below the "
-                         "0.70 bar")
-print(f"link-fault ratio: fresh {fresh['degraded_over_healthy']:.2f}, "
-      f"committed {base['degraded_over_healthy']:.2f} (bar: >= 0.70, "
-      "zero lost, failover observed)")
-print("perf gate: serving degrades through link death, never collapses")
-EOF
+  python3 tools/bench_gate.py linkfault \
+    "$BUILD_DIR/BENCH_linkfault.json" BENCH_linkfault.json
 fi
 
 if [ -n "$TUNE" ]; then
