@@ -1,6 +1,6 @@
 // Microbenchmarks (google-benchmark) of the hot computational primitives:
 // the XNOR-popcount datapath vs a scalar reference, the folded threshold
-// activation vs the float BatchNorm + quantizer path, the window scanner,
+// activation vs the float BatchNorm + quantizer path, the window cursor,
 // the SPSC stream, and a small end-to-end streaming inference.
 //
 // After the google-benchmark suite, main() measures the executor on a
@@ -10,14 +10,16 @@
 // like the other benches); tools/bench_gate.py holds them to absolute
 // floors under `PERF=1 tools/check.sh`. Pass `--benchmark_filter=__none__`
 // to skip the microbenchmarks and run the executor measurement alone;
-// `--conv-datapath-only` runs the conv datapath measurement
-// (BENCH_kernels.json) alone.
+// `--conv-datapath-only` runs the kernel datapath measurement (conv cells
+// and the pool kernel, BENCH_kernels.json) alone.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <array>
+#include <cctype>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <iostream>
 #include <optional>
@@ -37,6 +39,8 @@
 #include "models/zoo.h"
 #include "nn/reference.h"
 #include "quant/threshold.h"
+
+#include <unistd.h>
 
 namespace qnn {
 namespace {
@@ -105,27 +109,21 @@ void BM_FloatBnActPath(benchmark::State& state) {
 BENCHMARK(BM_FloatBnActPath)->Arg(1)->Arg(2)->Arg(4);
 
 void BM_WindowScanner(benchmark::State& state) {
+  // The data-free window cursor alone, driven a row at a time as the
+  // window kernels drive it: real row segments and whole padding runs.
   const Shape in{32, 32, 64};
-  Rng rng(3);
-  IntTensor img(in);
-  for (std::int64_t i = 0; i < img.size(); ++i) {
-    img[i] = static_cast<std::int32_t>(rng.next_below(4));
-  }
-  std::vector<std::int32_t> window(
-      static_cast<std::size_t>(3 * 3 * in.c));
   for (auto _ : state) {
     WindowScanner s(in, 3, 1, 1);
-    std::int64_t next = 0;
+    std::int64_t windows = 0;
     while (!s.done()) {
-      const std::int32_t v = s.next_is_padding() ? 0 : img[next++];
-      const auto completed = s.advance(v);
-      if (completed) {
-        s.window(*completed, window);
-        benchmark::DoNotOptimize(window.data());
-      }
+      (void)s.advance_run(in.elems(),
+                          [&windows](const WindowScanner::Completed&) {
+                            ++windows;
+                          });
     }
+    benchmark::DoNotOptimize(windows);
   }
-  state.SetItemsProcessed(state.iterations() * img.size());
+  state.SetItemsProcessed(state.iterations() * in.elems());
 }
 BENCHMARK(BM_WindowScanner);
 
@@ -208,6 +206,36 @@ NetworkSpec ablation_chain(const char* name, int convs, bool dense_bn) {
   return spec;
 }
 
+/// The header a recorded BENCH_*.json opens with, the fields perfbench
+/// prints: host name and core count, the SIMD level in use, the in-process
+/// repeats behind each median, and the git revision of the source tree.
+std::string json_header(int repeats) {
+  std::array<char, 256> host{};
+  if (gethostname(host.data(), host.size() - 1) != 0) host[0] = '\0';
+  std::string rev;
+  // "-dirty" marks a recording made from uncommitted sources.
+  if (FILE* git = popen("git -C \"" QNN_SOURCE_DIR
+                        "\" describe --always --dirty 2>/dev/null",
+                        "r")) {
+    std::array<char, 64> line{};
+    if (std::fgets(line.data(), line.size(), git) != nullptr) {
+      rev = line.data();
+      while (!rev.empty() &&
+             std::isspace(static_cast<unsigned char>(rev.back())) != 0) {
+        rev.pop_back();
+      }
+    }
+    pclose(git);
+  }
+  std::ostringstream js;
+  js << "\"header\": {\"host\": \"" << host.data()
+     << "\", \"nproc\": " << std::thread::hardware_concurrency()
+     << ", \"simd\": \"" << simd::vec_ops().name
+     << "\", \"repeats\": " << repeats << ", \"git_rev\": \""
+     << (rev.empty() ? "unknown" : rev) << "\"}";
+  return js.str();
+}
+
 double median(std::vector<double> xs) {
   std::sort(xs.begin(), xs.end());
   const std::size_t n = xs.size();
@@ -264,7 +292,7 @@ int run_executor_measurement() {
 
   const unsigned workers = std::max(1u, std::thread::hardware_concurrency());
   std::ostringstream js;
-  js << "{\n  \"repeats\": " << kRepeats << ",\n  \"chains\": [\n";
+  js << "{\n  " << json_header(kRepeats) << ",\n  \"chains\": [\n";
   std::cout << "\nexecutor (ready queue, adaptive bursts, median of "
             << kRepeats << " windows)\n";
   for (std::size_t c = 0; c < std::size(chains); ++c) {
@@ -311,15 +339,12 @@ int run_executor_measurement() {
 
 namespace {
 
-/// Images/second through a single ConvKernel driven cooperatively on one
-/// thread (push burst / step / drain), so the measurement isolates the conv
-/// inner datapath with no executor or thread-scheduling noise.
-double conv_datapath_ips(const Node& n, const FilterBank& fb,
-                         const std::vector<std::int32_t>& img, int images) {
-  Stream sin(8192, 16, "abl_in");
-  Stream sout(8192, 32, "abl_out");
-  ConvKernel kernel(n, fb, sin, sout);
-  const std::int64_t out_per_image = n.out.elems();
+/// Images/second through one window kernel driven cooperatively on one
+/// thread (push burst / step / drain), so the measurement isolates the
+/// kernel's datapath with no executor or thread-scheduling noise.
+double kernel_ips(Kernel& kernel, Stream& sin, Stream& sout,
+                  std::int64_t out_per_image,
+                  const std::vector<std::int32_t>& img, int images) {
   std::vector<std::int32_t> sink(4096);
   const auto t0 = std::chrono::steady_clock::now();
   int fed_images = 0;
@@ -342,6 +367,22 @@ double conv_datapath_ips(const Node& n, const FilterBank& fb,
   return images / elapsed.count();
 }
 
+double conv_datapath_ips(const Node& n, const FilterBank& fb,
+                         const std::vector<std::int32_t>& img, int images) {
+  Stream sin(8192, 16, "abl_in");
+  Stream sout(8192, 32, "abl_out");
+  ConvKernel kernel(n, fb, sin, sout);
+  return kernel_ips(kernel, sin, sout, n.out.elems(), img, images);
+}
+
+double pool_ips(const Node& n, const std::vector<std::int32_t>& img,
+                int images) {
+  Stream sin(8192, n.in_bits, "pool_in");
+  Stream sout(8192, n.out_bits, "pool_out");
+  PoolKernel kernel(n, sin, sout);
+  return kernel_ips(kernel, sin, sout, n.out.elems(), img, images);
+}
+
 /// Conv node of the ablation cells.
 Node ablation_conv(Shape in, int out_c, int k, int stride, int pad,
                    int bits) {
@@ -357,6 +398,37 @@ Node ablation_conv(Shape in, int out_c, int k, int stride, int pad,
   n.pad = pad;
   n.param = 0;
   return n;
+}
+
+/// Max-pool node of the pool cells (2-bit codes, as after a BnAct).
+Node ablation_maxpool(Shape in, int k, int stride, int pad) {
+  Node n;
+  n.kind = NodeKind::MaxPool;
+  n.name = "abl_pool";
+  n.in = in;
+  n.out = conv_out_shape(in, in.c, k, stride, pad);
+  n.in_bits = n.out_bits = 2;
+  n.k = k;
+  n.stride = stride;
+  n.pad = pad;
+  return n;
+}
+
+/// Median milliseconds per image of one PoolKernel over `repeats` timed
+/// runs of `images` images each, after an untimed warm-up.
+double measure_pool_ms(const Node& n, std::uint64_t seed, int images,
+                       int repeats, std::vector<double>& runs_ms) {
+  Rng rng(seed);
+  std::vector<std::int32_t> img(static_cast<std::size_t>(n.in.elems()));
+  for (auto& v : img) {
+    v = static_cast<std::int32_t>(
+        rng.next_below(std::uint64_t{1} << n.in_bits));
+  }
+  (void)pool_ips(n, img, 2);  // untimed
+  for (int r = 0; r < repeats; ++r) {
+    runs_ms.push_back(1e3 / pool_ips(n, img, images));
+  }
+  return median(runs_ms);
 }
 
 /// Median images/second of one conv node at each dispatch arm: the
@@ -408,10 +480,11 @@ void write_cell_ips(std::ostream& js, const CellIps& ips) {
 /// The conv inner datapath at two dispatch levels — packed incremental
 /// line buffers with the scalar word loop vs the widest SIMD — on one
 /// mid-network conv per activation width and on the paper networks' first
-/// layers. Each arm is the median of several timed repeats.
-/// tools/bench_gate.py holds packed+SIMD to an absolute floor per cell and
-/// the geomean SIMD/scalar ratio of the mid-network cells to a bar.
-/// Writes BENCH_kernels.json.
+/// layers, then the pool kernel on the paper networks' first max-pools.
+/// Each arm is the median of several timed repeats. tools/bench_gate.py
+/// holds packed+SIMD to an absolute floor per cell, the geomean SIMD/scalar
+/// ratio of the mid-network cells to a bar, and ResNet-18's maxpool_2 cell
+/// to a ceiling in ms per image. Writes BENCH_kernels.json.
 int run_conv_datapath_ablation() {
   constexpr int kImages = 8;
   constexpr int kRepeats = 5;
@@ -439,8 +512,7 @@ int run_conv_datapath_ablation() {
             << kRepeats << " repeats; host best simd: "
             << simd::level_name(best) << ")\n";
   std::ostringstream js;
-  js << "{\n  \"host_best_simd\": \"" << simd::level_name(best)
-     << "\",\n  \"repeats\": " << kRepeats << ",\n  \"cells\": [\n";
+  js << "{\n  " << json_header(kRepeats) << ",\n  \"cells\": [\n";
   double log_sum = 0.0;
   for (std::size_t b = 0; b < std::size(bits_list); ++b) {
     const int bits = bits_list[b];
@@ -465,7 +537,26 @@ int run_conv_datapath_ablation() {
   }
   const double geomean =
       std::exp(log_sum / static_cast<double>(std::size(bits_list)));
-  js << "  ],\n  \"geomean_simd_vs_scalar\": " << geomean << "\n}\n";
+  js << "  ],\n  \"geomean_simd_vs_scalar\": " << geomean
+     << ",\n  \"pool_cells\": [\n";
+  // The first max-pools of ResNet-18@224 and AlexNet@224 on their 2-bit
+  // codes: the largest pool kernels of the paper networks.
+  const FirstLayer pools[] = {
+      {"resnet18_maxpool_2", ablation_maxpool({112, 112, 64}, 3, 2, 1)},
+      {"alexnet_maxpool_2", ablation_maxpool({55, 55, 96}, 3, 2, 0)},
+  };
+  std::cout << "pool kernel (same drive, " << kImages << " images per run)\n";
+  for (std::size_t i = 0; i < std::size(pools); ++i) {
+    std::vector<double> runs;
+    const double ms =
+        measure_pool_ms(pools[i].node, 41 + i, kImages, kRepeats, runs);
+    std::cout << "  " << pools[i].name << ": " << ms << " ms/image\n";
+    js << "    {\"name\": \"" << pools[i].name
+       << "\", \"ms_per_image\": " << ms << ", \"ms_runs\": ";
+    write_list(js, runs);
+    js << "}" << (i + 1 < std::size(pools) ? "," : "") << "\n";
+  }
+  js << "  ]\n}\n";
   std::cout << "packed+simd vs packed (scalar dispatch) geomean: " << geomean
             << "x\n"
             << js.str();

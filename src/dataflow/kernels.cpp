@@ -28,18 +28,13 @@ WindowKernel::WindowKernel(const Node& node, Stream& in, Stream& out,
       node_(node),
       in_(in),
       out_(out),
-      scanner_(node.in, node.k, node.stride, node.pad, /*pad_value=*/0),
-      window_buf_(static_cast<std::size_t>(scanner_.window_values())),
+      scanner_(node.in, node.k, node.stride, node.pad),
       in_burst_(window_burst(node, burst)) {}
 
-void WindowKernel::feed(std::int32_t v) {
-  if (const auto completed = scanner_.advance(v)) {
-    emit(*completed);
-  }
-}
-
 void WindowKernel::advance_padding() {
-  while (!scanner_.done() && scanner_.next_is_padding()) feed(0);
+  if (scanner_.done() || !scanner_.next_is_padding()) return;
+  (void)scanner_.advance_run(
+      0, [this](const WindowScanner::Completed& at) { emit(at); });
 }
 
 void WindowKernel::reset() {
@@ -89,15 +84,17 @@ StepResult WindowKernel::step() {
     while (in_burst_.available() > 0) {
       advance_padding();
       if (scanner_.done()) break;  // burst spans an image boundary
-      // Ingest the row segment up to the next padding interruption in one
-      // tight loop — no per-value padding test. The run is exposed to the
-      // subclass first (scanner cursor still at the run's first value), so
-      // the packed conv datapath bit-plane-packs it exactly once.
-      const std::int64_t run = std::min<std::int64_t>(
+      // Ingest the row segment up to the next padding interruption as one
+      // run: the subclass copies it into its line buffer (scanner cursor
+      // still at the run's first value), then the cursor advances over the
+      // whole run and the windows it completes are emitted in order.
+      const auto run = static_cast<std::size_t>(std::min<std::int64_t>(
           scanner_.real_run(),
-          static_cast<std::int64_t>(in_burst_.available()));
-      ingest_run(in_burst_.view(static_cast<std::size_t>(run)));
-      for (std::int64_t i = 0; i < run; ++i) feed(in_burst_.next());
+          static_cast<std::int64_t>(in_burst_.available())));
+      ingest_run(in_burst_.take(run));
+      (void)scanner_.advance_run(
+          static_cast<std::int64_t>(run),
+          [this](const WindowScanner::Completed& at) { emit(at); });
     }
     progressed = true;
     if (!stage_.flush(out_)) return StepResult::kBlocked;
@@ -141,9 +138,10 @@ void ConvKernel::ingest_run(std::span<const std::int32_t> vals) {
 
 void ConvKernel::emit(const WindowScanner::Completed& at) {
   const int o_count = node().out.c;
-  // Every activation was bit-plane-packed exactly once at ingest; a window is K contiguous bit-range splices per plane
-  // out of the line buffer (rows recycled mod K, in step with the scanner
-  // ring), then one filter-parallel dot over all planes and all O filters.
+  // Every activation was bit-plane-packed exactly once at ingest; a window
+  // is K contiguous bit-range splices per plane out of the line buffer
+  // (rows recycled mod K, keyed on the scanner's row), then one
+  // filter-parallel dot over all planes and all O filters.
   const int k = node().k;
   const int stride = node().stride;
   const std::int64_t chans = node().in.c;
@@ -172,46 +170,96 @@ void ConvKernel::emit(const WindowScanner::Completed& at) {
 
 // ---------------------------------------------------------------- PoolKernel
 
+namespace {
+
+/// dst[i] = op(dst[i], src[i]) over n contiguous values, in fixed blocks
+/// of 8: a block's constant trip count lets the compiler vectorize it at
+/// -O2, which it does not do for a loop of unknown length.
+template <class Op>
+void combine_with(Op op, std::int32_t* __restrict dst,
+                  const std::int32_t* __restrict src, std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    for (std::size_t j = i; j < i + 8; ++j) dst[j] = op(dst[j], src[j]);
+  }
+  for (; i < n; ++i) dst[i] = op(dst[i], src[i]);
+}
+
+/// Max or sum of two rows of codes; the decision is hoisted out of the
+/// loop.
+void combine(bool is_max, std::int32_t* dst, const std::int32_t* src,
+             std::size_t n) {
+  if (is_max) {
+    combine_with([](std::int32_t a, std::int32_t b) { return std::max(a, b); },
+                 dst, src, n);
+  } else {
+    combine_with([](std::int32_t a, std::int32_t b) { return a + b; }, dst,
+                 src, n);
+  }
+}
+
+}  // namespace
+
 PoolKernel::PoolKernel(const Node& node, Stream& in, Stream& out,
                        std::size_t burst)
     : WindowKernel(node, in, out, burst),
       is_max_(node.kind == NodeKind::MaxPool),
-      acc_(static_cast<std::size_t>(node.in.c), 0) {
+      row_values_(static_cast<std::int64_t>(scanner().padded_w()) *
+                  node.in.c),
+      lines_(static_cast<std::size_t>(node.k * row_values_), 0),
+      cols_(static_cast<std::size_t>(row_values_), 0) {
   QNN_CHECK(node.kind == NodeKind::MaxPool || node.kind == NodeKind::AvgPool,
             "PoolKernel needs a pooling node");
 }
 
+void PoolKernel::rearm_image() { cols_oy_ = -1; }
+
+void PoolKernel::ingest_run(std::span<const std::int32_t> vals) {
+  const auto at = static_cast<std::size_t>(
+      (scanner().cur_row() % node().k) * row_values_ +
+      scanner().row_value_pos());
+  std::copy(vals.begin(), vals.end(), lines_.data() + at);
+}
+
 void PoolKernel::emit(const WindowScanner::Completed& at) {
-  load_window(at);
-  const int c = node().in.c;
-  const int kk = node().k * node().k;
-  const auto window = window_buf();
-  // Window layout is (dy, dx, ci): walk it channel-contiguously (stride-1
-  // inner loop over ci) with the max/sum decision hoisted out of the loops.
-  // Padded entries hold code 0, the lowest level — identity for max and
-  // sum alike, so a zero accumulator start is exact.
-  std::fill(acc_.begin(), acc_.end(), std::int64_t{0});
-  if (is_max_) {
-    for (int t = 0; t < kk; ++t) {
-      const auto seg = window.subspan(
-          static_cast<std::size_t>(t) * static_cast<std::size_t>(c));
-      for (int ci = 0; ci < c; ++ci) {
-        auto& a = acc_[static_cast<std::size_t>(ci)];
-        a = std::max<std::int64_t>(a, seg[static_cast<std::size_t>(ci)]);
-      }
-    }
-  } else {
-    for (int t = 0; t < kk; ++t) {
-      const auto seg = window.subspan(
-          static_cast<std::size_t>(t) * static_cast<std::size_t>(c));
-      for (int ci = 0; ci < c; ++ci) {
-        acc_[static_cast<std::size_t>(ci)] += seg[static_cast<std::size_t>(ci)];
-      }
+  const Node& n = node();
+  const int k = n.k;
+  const auto c = static_cast<std::size_t>(n.in.c);
+  // Padding holds code 0, the identity of max and sum over unsigned codes:
+  // only the interior rows and columns of the window take part, and the
+  // padding columns of cols_ stay 0.
+  if (at.oy != cols_oy_) {
+    cols_oy_ = at.oy;
+    cols_end_ = 0;
+  }
+  const int x0 = at.ox * n.stride;
+  const int from = std::max({cols_end_, x0, n.pad});
+  const int to = std::min(x0 + k, n.pad + n.in.w);
+  if (from < to) {
+    // Vertical partials of the columns this window adds: the window's
+    // interior rows, all resident in the K-row line buffer.
+    const int y0 = std::max(at.oy * n.stride, n.pad);
+    const int y1 = std::min(at.oy * n.stride + k, n.pad + n.in.h);
+    std::int32_t* dst = cols_.data() + static_cast<std::size_t>(from) * c;
+    const auto len = static_cast<std::size_t>(to - from) * c;
+    auto row = [&](int y) {
+      return lines_.data() + static_cast<std::size_t>((y % k) * row_values_) +
+             static_cast<std::size_t>(from) * c;
+    };
+    if (y0 >= y1) {
+      std::fill(dst, dst + len, 0);
+    } else {
+      std::copy(row(y0), row(y0) + len, dst);
+      for (int y = y0 + 1; y < y1; ++y) combine(is_max_, dst, row(y), len);
     }
   }
-  for (int ci = 0; ci < c; ++ci) {
-    stage().append(
-        static_cast<std::int32_t>(acc_[static_cast<std::size_t>(ci)]));
+  cols_end_ = std::max(cols_end_, x0 + k);
+  // Horizontal: reduce the window's K column partials into the stage.
+  const std::int32_t* col = cols_.data() + static_cast<std::size_t>(x0) * c;
+  const auto out = stage().extend(c);
+  std::copy(col, col + c, out.begin());
+  for (int dx = 1; dx < k; ++dx) {
+    combine(is_max_, out.data(), col + static_cast<std::size_t>(dx) * c, c);
   }
 }
 

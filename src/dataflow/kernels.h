@@ -14,12 +14,15 @@
 //
 // Data moves in bursts end to end: a kernel pops a burst of input values,
 // transforms it (BnAct maps the whole burst through the threshold unit in
-// one SIMD call; Add sums a burst pair in one loop; Conv/Pool ingest row
-// segments at a time and emit all O filter responses per completed window
-// position; Conv through the packed XNOR-popcount datapath), stages the
-// results, and flushes them with one ring transaction. Blocked-episode
-// accounting (Stream::note_*_stall) fires once per continuous blocked
-// period, so the stall counters keep their pre-burst meaning.
+// one SIMD call; Add sums a burst pair in one loop; Conv/Pool copy each
+// row segment once into their own K-row line buffer and advance a
+// data-free window cursor a run at a time, never a value at a time; Conv
+// emits all O filter responses per completed window through the packed
+// XNOR-popcount datapath, Pool reduces its window rows channel-
+// contiguously), stages the results, and flushes them with one ring
+// transaction. Blocked-episode accounting (Stream::note_*_stall) fires
+// once per continuous blocked period, so the stall counters keep their
+// pre-burst meaning.
 //
 // All kernels process an unbounded sequence of images and terminate when
 // their input stream is closed at an image boundary.
@@ -104,7 +107,7 @@ class OutStage {
   bool stall_noted_ = false;
 };
 
-/// One input burst being consumed value by value; refilled from the stream
+/// One input burst, consumed a run at a time; refilled from the stream
 /// when empty. Notes one pop-stall episode per continuous starved period.
 class InBurst {
  public:
@@ -130,23 +133,11 @@ class InBurst {
     return len_;
   }
 
-  [[nodiscard]] std::int32_t next() {
-    QNN_DCHECK(pos_ < len_, "burst underrun");
-    return buf_[pos_++];
-  }
-
-  /// Read-only view of the next `n` buffered values without consuming them
-  /// (n <= available()). Lets a kernel pre-scan a run — e.g. pack it into
-  /// bit-plane line buffers — before feeding it value by value.
-  [[nodiscard]] std::span<const std::int32_t> view(std::size_t n) const {
-    QNN_DCHECK(n <= len_ - pos_, "burst view overrun");
-    return std::span<const std::int32_t>(buf_).subspan(pos_, n);
-  }
-
   /// Consume the next `n` buffered values at once (n <= available()); the
   /// span stays valid until the next refill.
   [[nodiscard]] std::span<const std::int32_t> take(std::size_t n) {
-    const auto run = view(n);
+    QNN_DCHECK(n <= len_ - pos_, "burst take overrun");
+    const auto run = std::span<const std::int32_t>(buf_).subspan(pos_, n);
     pos_ += n;
     return run;
   }
@@ -213,8 +204,10 @@ class Kernel {
 };
 
 /// Common machinery of the window-ingesting kernels (Conv, Pool): a
-/// depth-first scanner with local padding injection, burst input, and an
-/// output stage. Subclasses emit responses for each completed window.
+/// data-free depth-first window cursor advanced a run at a time (a row
+/// segment of real values, or a whole padding run injected locally), burst
+/// input, and an output stage. Subclasses keep their own K-row line buffer
+/// (ingest_run) and emit responses for each completed window.
 class WindowKernel : public Kernel {
  public:
   WindowKernel(const Node& node, Stream& in, Stream& out, std::size_t burst);
@@ -226,11 +219,12 @@ class WindowKernel : public Kernel {
   /// Emit all outputs of the window at `at` into stage().
   virtual void emit(const WindowScanner::Completed& at) = 0;
 
-  /// Called once per contiguous run of REAL input values, just before they
-  /// are fed to the scanner — the scanner cursor (cur_row/row_value_pos)
-  /// still points at the run's first value. The conv kernel packs the run
-  /// into its bit-plane line buffers here; the default does nothing.
-  virtual void ingest_run(std::span<const std::int32_t> /*vals*/) {}
+  /// Called once per contiguous run of REAL input values, just before the
+  /// scanner advances over them — the cursor (cur_row/row_value_pos) still
+  /// points at the run's first value. The run lies within one padded row;
+  /// the kernel copies it into its line buffer here, so every window the
+  /// run completes finds its values in place.
+  virtual void ingest_run(std::span<const std::int32_t> vals) = 0;
 
   /// Called whenever the scan re-arms for a new image (end of image and
   /// reset()); subclasses recycle per-image state (e.g. line-buffer rows).
@@ -240,27 +234,15 @@ class WindowKernel : public Kernel {
   [[nodiscard]] WindowScanner& scanner() { return scanner_; }
   [[nodiscard]] OutStage& stage() { return stage_; }
 
-  /// Copy the window at `at` out of the scanner ring into window_buf().
-  /// Pooling pays this gather; the conv kernel splices its window from
-  /// packed line buffers instead.
-  void load_window(const WindowScanner::Completed& at) {
-    scanner_.window(at, window_buf_);
-  }
-
-  [[nodiscard]] std::span<std::int32_t> window_buf() {
-    return window_buf_;
-  }
-
  private:
-  void feed(std::int32_t v);
-  /// Inject padding positions until the next position is real (or done).
+  /// Inject the padding run at the cursor, if any: afterwards the next
+  /// position is real or the scan is done.
   void advance_padding();
 
   const Node& node_;
   Stream& in_;
   Stream& out_;
   WindowScanner scanner_;
-  std::vector<std::int32_t> window_buf_;
   InBurst in_burst_;
   OutStage stage_;
   bool image_open_ = false;
@@ -299,10 +281,16 @@ class ConvKernel final : public WindowKernel {
 };
 
 /// Max / average (window-sum) pooling kernel. Parameterless; emits each
-/// output as soon as its window completes (§III-B2). The reduction walks
-/// the (dy, dx, ci) window channel-contiguously with the max/sum decision
-/// hoisted out of the loop, accumulating all C channels per window row
-/// segment.
+/// output as soon as its window completes (§III-B2). Each real row
+/// segment is copied once into a K-row int32 line buffer (rows recycled
+/// mod K — the §III-B1b buffer). A completed window's row is reduced
+/// separably, as FINN streams max-pool after its sliding-window unit:
+/// first a vertical max (or sum) over the K rows into column partials,
+/// computed once per column of the output row, then a K-wide horizontal
+/// reduction of the window's columns straight into the output stage. Every
+/// loop runs over channel-contiguous values. Padding rows and columns are
+/// never stored: codes are unsigned and padding holds code 0, the identity
+/// of max and sum, so they are skipped.
 class PoolKernel final : public WindowKernel {
  public:
   PoolKernel(const Node& node, Stream& in, Stream& out,
@@ -310,9 +298,15 @@ class PoolKernel final : public WindowKernel {
 
  private:
   void emit(const WindowScanner::Completed& at) override;
+  void ingest_run(std::span<const std::int32_t> vals) override;
+  void rearm_image() override;
 
   bool is_max_;
-  std::vector<std::int64_t> acc_;  // per-channel scratch
+  std::int64_t row_values_;          // values per padded row: W_p * C
+  std::vector<std::int32_t> lines_;  // K padded rows, recycled mod K
+  std::vector<std::int32_t> cols_;   // vertical partials of one output row
+  int cols_oy_ = -1;  // output row the partials in cols_ belong to
+  int cols_end_ = 0;  // padded columns [0, cols_end_) are computed
 };
 
 /// Folded BatchNorm + n-bit activation kernel (§III-B3): maps each input

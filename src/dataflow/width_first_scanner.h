@@ -96,8 +96,8 @@ class WidthFirstScanner {
     return completed;
   }
 
-  /// Extract the completed window in the depth-first (dy, dx, ci) layout,
-  /// identical to WindowScanner's, so the two scan orders are directly
+  /// Extract the completed window in the depth-first (dy, dx, ci) layout
+  /// of the window kernels' weights, so the two scan orders are directly
   /// comparable.
   void window(const Completed& at, std::span<std::int32_t> out) const {
     QNN_DCHECK(static_cast<std::int64_t>(out.size()) == window_values(),

@@ -1,6 +1,6 @@
-// Shift-register window extraction over a depth-first pixel stream.
+// Depth-first window cursor over a padded pixel stream.
 //
-// Implements the input side of the convolution kernel in Figure 3: pixels
+// Implements the input side of the window kernels in Figure 3: pixels
 // arrive one channel value per transaction in depth-first order (channel
 // fastest, then x, then y); padding positions are injected locally by the
 // kernel ("the kernel stops the input stream and inputs padding values into
@@ -8,16 +8,19 @@
 // window is present, the window is complete and an output position can be
 // computed.
 //
-// The scanner retains exactly the last K rows of the padded map — the
-// depth-first scan of §III-B1b whose buffer cost is
-//     I * (W_padded * (K - 1) + K)
-// values, versus Theta(I*W_padded + K) per *width* unit for a width-first
-// scan (see fpga/resource_model.h for the accounting used in Fig 6).
+// The scanner holds no data: it walks the padded map a run at a time (a
+// row segment of real values, or the whole padding run at the cursor) and
+// reports the windows each run completes, computed arithmetically from
+// the corner at padded row oy·S + K − 1, column ox·S + K − 1. The K-row
+// buffer of the depth-first scan of §III-B1b, I * (W_padded * (K - 1) + K)
+// values (versus Theta(I*W_padded + K) per *width* unit for a width-first
+// scan, see fpga/resource_model.h for the accounting used in Fig 6), lives
+// in the kernels, recycled mod K keyed on cur_row(): the pool kernel's
+// int32 line buffer and conv's BitPlaneLineBuffer (core/packed_planes.h).
 #pragma once
 
-#include <optional>
-#include <span>
-#include <vector>
+#include <algorithm>
+#include <cstdint>
 
 #include "core/shape.h"
 
@@ -25,18 +28,16 @@ namespace qnn {
 
 class WindowScanner {
  public:
-  WindowScanner(Shape in, int k, int stride, int pad,
-                std::int32_t pad_value = 0)
+  WindowScanner(Shape in, int k, int stride, int pad)
       : in_(in),
         k_(k),
         stride_(stride),
         pad_(pad),
-        pad_value_(pad_value),
         hp_(in.h + 2 * pad),
         wp_(in.w + 2 * pad),
         out_h_(conv_out_extent(in.h, k, stride, pad)),
         out_w_(conv_out_extent(in.w, k, stride, pad)),
-        ring_(static_cast<std::size_t>(k) * wp_ * in.c) {
+        row_values_(static_cast<std::int64_t>(wp_) * in.c) {
     QNN_CHECK(in.valid() && k >= 1 && stride >= 1 && pad >= 0,
               "invalid scanner geometry");
     QNN_CHECK(hp_ >= k && wp_ >= k, "window larger than padded input");
@@ -49,75 +50,68 @@ class WindowScanner {
   /// kernel must inject itself (the input stream is halted meanwhile).
   [[nodiscard]] bool next_is_padding() const {
     QNN_DCHECK(!done(), "scanner exhausted");
-    return y_ < pad_ || y_ >= pad_ + in_.h || x_ < pad_ || x_ >= pad_ + in_.w;
+    const int x = cur_x();
+    return !interior_row(y_) || x < pad_ || x >= pad_ + in_.w;
   }
 
+  /// A window whose bottom-right value just entered: output position
+  /// (oy, ox), and the REAL input values of this image consumed at that
+  /// moment (padding consumes none, so a window whose corner is a padding
+  /// position completes at a count already reached).
   struct Completed {
     int oy;
     int ox;
+    std::int64_t consumed;
   };
 
   /// Number of consecutive scan positions starting at the cursor that take
   /// REAL stream values (no padding until at least the end of the current
-  /// row's interior). Lets a burst-mode kernel ingest a row segment at a
-  /// time without a per-value padding test; 0 when the next position is a
-  /// padding injection or the scan is done. The segment size a kernel asks
-  /// for is the edge's PLANNED burst (plan/fifo_plan.h, row-sized under
-  /// adaptive mode — carried through the engine from the CompiledPlan when
-  /// one is supplied), so ingest granularity is decided at plan time, not
-  /// here.
+  /// row's interior); 0 when the next position is a padding injection or
+  /// the scan is done. The segment size a kernel asks for is the edge's
+  /// PLANNED burst (plan/fifo_plan.h, row-sized under adaptive mode), so
+  /// ingest granularity is decided at plan time, not here.
   [[nodiscard]] std::int64_t real_run() const {
     if (done() || next_is_padding()) return 0;
-    return static_cast<std::int64_t>(pad_ + in_.w - x_) * in_.c - c_;
+    return static_cast<std::int64_t>(pad_ + in_.w) * in_.c - pos_;
   }
 
-  /// Advance the scan by one value: a real stream value when
-  /// !next_is_padding(), ignored otherwise (the pad value is injected).
-  /// Returns the output position whose window just completed, if any.
-  std::optional<Completed> advance(std::int32_t v) {
+  /// Number of consecutive padding positions starting at the cursor: up to
+  /// the next real position, or to the end of the scan. 0 when the next
+  /// position is real or the scan is done.
+  [[nodiscard]] std::int64_t padding_run() const {
+    if (done() || !next_is_padding()) return 0;
+    const std::int64_t here = y_ * row_values_ + pos_;
+    const std::int64_t end = hp_ * row_values_;
+    const std::int64_t left_pad = static_cast<std::int64_t>(pad_) * in_.c;
+    std::int64_t next_real = end;  // bottom pad rows run to the end
+    if (y_ < pad_) {
+      next_real = pad_ * row_values_ + left_pad;
+    } else if (interior_row(y_)) {
+      if (cur_x() < pad_) {
+        next_real = y_ * row_values_ + left_pad;
+      } else if (interior_row(y_ + 1)) {
+        next_real = (y_ + 1) * row_values_ + left_pad;
+      }
+    }
+    return next_real - here;
+  }
+
+  /// Advance the cursor by one run: the whole padding run at the cursor
+  /// when next_is_padding() (injected locally, consuming no input), else
+  /// the next min(n, real_run()) real values. Calls on_window(Completed)
+  /// for each window the run completes, in raster order. Returns the
+  /// number of real values consumed.
+  template <class OnWindow>
+  std::int64_t advance_run(std::int64_t n, OnWindow&& on_window) {
     QNN_DCHECK(!done(), "advance past end of scan");
-    const std::int32_t stored = next_is_padding() ? pad_value_ : v;
-    ring_[ring_index(y_, x_, c_)] = stored;
-
-    std::optional<Completed> completed;
-    if (c_ == in_.c - 1) {
-      // Pixel (y_, x_) is now complete; is it the bottom-right corner of a
-      // window? Corner rows are oy*stride + k - 1, columns ox*stride + k-1.
-      const int ry = y_ - (k_ - 1);
-      const int rx = x_ - (k_ - 1);
-      if (ry >= 0 && rx >= 0 && ry % stride_ == 0 && rx % stride_ == 0) {
-        const int oy = ry / stride_;
-        const int ox = rx / stride_;
-        if (oy < out_h_ && ox < out_w_) completed = Completed{oy, ox};
-      }
+    if (next_is_padding()) {
+      walk(padding_run(), /*real=*/false, on_window);
+      return 0;
     }
-    // Advance the depth-first cursor.
-    if (++c_ == in_.c) {
-      c_ = 0;
-      if (++x_ == wp_) {
-        x_ = 0;
-        ++y_;
-      }
-    }
-    return completed;
-  }
-
-  /// Extract the window of output position (oy, ox) — only valid for the
-  /// position just reported by advance(). Depth-first layout (dy, dx, ci),
-  /// matching the weight-cache entry layout of FilterBank.
-  void window(const Completed& at, std::span<std::int32_t> out) const {
-    QNN_DCHECK(static_cast<std::int64_t>(out.size()) == window_values(),
-               "window span size mismatch");
-    std::size_t w = 0;
-    for (int dy = 0; dy < k_; ++dy) {
-      const int py = at.oy * stride_ + dy;
-      for (int dx = 0; dx < k_; ++dx) {
-        const int px = at.ox * stride_ + dx;
-        for (int ci = 0; ci < in_.c; ++ci) {
-          out[w++] = ring_[ring_index(py, px, ci)];
-        }
-      }
-    }
+    const std::int64_t m = std::min(n, real_run());
+    QNN_DCHECK(m >= 1, "empty real run");
+    walk(m, /*real=*/true, on_window);
+    return m;
   }
 
   [[nodiscard]] std::int64_t window_values() const {
@@ -128,20 +122,18 @@ class WindowScanner {
   [[nodiscard]] int padded_w() const { return wp_; }
 
   /// Padded row the cursor is currently on (0 <= cur_row < hp while the
-  /// scan is live). A packed line buffer mirrors the ring by recycling rows
-  /// mod K keyed on this value.
+  /// scan is live). A kernel's line buffer recycles rows mod K keyed on
+  /// this value.
   [[nodiscard]] int cur_row() const { return y_; }
 
   /// Cursor position within the current padded row, in values:
-  /// (x * channels + c) over the padded width. This is the pack offset for
-  /// the run about to be ingested via real_run().
-  [[nodiscard]] std::int64_t row_value_pos() const {
-    return static_cast<std::int64_t>(x_) * in_.c + c_;
-  }
+  /// (x * channels + c) over the padded width. This is the line-buffer
+  /// offset for the run about to be ingested via real_run().
+  [[nodiscard]] std::int64_t row_value_pos() const { return pos_; }
 
   /// Total padded positions scanned per image (pad injections included).
   [[nodiscard]] std::int64_t padded_values() const {
-    return static_cast<std::int64_t>(hp_) * wp_ * in_.c;
+    return static_cast<std::int64_t>(hp_) * row_values_;
   }
   /// Padding values injected locally per image.
   [[nodiscard]] std::int64_t padding_values() const {
@@ -157,29 +149,62 @@ class WindowScanner {
 
   /// Reset for the next image.
   void reset() {
-    y_ = x_ = c_ = 0;
+    y_ = 0;
+    pos_ = 0;
+    real_ = 0;
   }
 
  private:
-  [[nodiscard]] std::size_t ring_index(int y, int x, int c) const {
-    return static_cast<std::size_t>((y % k_) * wp_ + x) *
-               static_cast<std::size_t>(in_.c) +
-           static_cast<std::size_t>(c);
+  [[nodiscard]] bool interior_row(int y) const {
+    return y >= pad_ && y < pad_ + in_.h;
+  }
+  [[nodiscard]] int cur_x() const {
+    return static_cast<int>(pos_ / in_.c);
+  }
+
+  /// Move the cursor `len` values forward, a row segment [p0, p1) at a
+  /// time, reporting the windows whose corner pixel completes on the way:
+  /// on a corner row, the pixels x with p0/C <= x < p1/C whose column is
+  /// ox*S + K - 1.
+  template <class OnWindow>
+  void walk(std::int64_t len, bool real, OnWindow& on_window) {
+    while (len > 0) {
+      const std::int64_t p0 = pos_;
+      const std::int64_t p1 = std::min(row_values_, p0 + len);
+      const int ry = y_ - (k_ - 1);
+      if (ry >= 0 && ry % stride_ == 0 && ry / stride_ < out_h_) {
+        const int rx = static_cast<int>(p0 / in_.c) - (k_ - 1);
+        const auto xb = static_cast<int>(p1 / in_.c);
+        for (int ox = rx <= 0 ? 0 : (rx + stride_ - 1) / stride_;
+             ox < out_w_ && ox * stride_ + k_ - 1 < xb; ++ox) {
+          const std::int64_t corner_end =
+              static_cast<std::int64_t>(ox * stride_ + k_) * in_.c;
+          on_window(Completed{ry / stride_, ox,
+                              real ? real_ + corner_end - p0 : real_});
+        }
+      }
+      len -= p1 - p0;
+      if (real) real_ += p1 - p0;
+      pos_ = p1;
+      if (pos_ == row_values_) {
+        pos_ = 0;
+        ++y_;
+      }
+    }
   }
 
   Shape in_;
   int k_;
   int stride_;
   int pad_;
-  std::int32_t pad_value_;
   int hp_;
   int wp_;
   int out_h_;
   int out_w_;
-  std::vector<std::int32_t> ring_;
-  int y_ = 0;
-  int x_ = 0;
-  int c_ = 0;
+  std::int64_t row_values_;  // values per padded row: W_p * C
+  int y_ = 0;                // padded row of the cursor
+  std::int64_t pos_ = 0;     // value position within the padded row
+  std::int64_t real_ = 0;    // real values consumed this image
 };
 
 }  // namespace qnn

@@ -23,6 +23,22 @@ const char* token_verdict_name(TokenVerdict v) {
   return "?";
 }
 
+std::vector<std::int64_t> window_breakpoints(const Node& n) {
+  // The kernel's own cursor, driven a run at a time: whole rows of real
+  // values and whole padding runs, exactly the runs the kernel may see.
+  WindowScanner sc(n.in, n.k, n.stride, n.pad);
+  std::vector<std::int64_t> bp;
+  bp.reserve(static_cast<std::size_t>(sc.out_h()) *
+             static_cast<std::size_t>(sc.out_w()));
+  while (!sc.done()) {
+    (void)sc.advance_run(n.in.elems(),
+                         [&bp](const WindowScanner::Completed& at) {
+                           bp.push_back(at.consumed);
+                         });
+  }
+  return bp;
+}
+
 namespace {
 
 /// One planned stream as a marked-graph place. `cap` is the effective
@@ -40,10 +56,7 @@ struct Place {
   }
 };
 
-/// Exact consume->emit profile of a window kernel, replayed from its
-/// WindowScanner: breakpoints[j] is the count of REAL input values
-/// consumed when window j completes (padding positions consume nothing,
-/// so trailing-pad windows complete at counts already reached).
+/// Exact consume->emit profile of a window kernel (window_breakpoints).
 struct WindowProfile {
   std::vector<std::int64_t> breakpoints;
   std::int64_t per_window = 0;  // values emitted per completed window
@@ -60,20 +73,6 @@ struct WindowProfile {
     return best * per_window;
   }
 };
-
-WindowProfile window_profile(const Node& n) {
-  WindowProfile p;
-  p.per_window = n.kind == NodeKind::Conv ? n.out.c : n.in.c;
-  WindowScanner sc(n.in, n.k, n.stride, n.pad);
-  p.breakpoints.reserve(
-      static_cast<std::size_t>(sc.out_h()) * static_cast<std::size_t>(sc.out_w()));
-  std::int64_t consumed = 0;
-  while (!sc.done()) {
-    if (!sc.next_is_padding()) ++consumed;
-    if (sc.advance(0)) p.breakpoints.push_back(consumed);
-  }
-  return p;
-}
 
 /// The in-burst capacity a window kernel actually allocates
 /// (dataflow/kernels.cpp window_burst): at least one input row.
@@ -154,7 +153,9 @@ class Simulation {
       t.total = static_cast<std::int64_t>(node.in.elems()) * images_;
       if (node.is_window_op()) {
         t.kind = Transition::Kind::kWindow;
-        profiles_.push_back(window_profile(node));
+        profiles_.push_back(
+            {window_breakpoints(node),
+             node.kind == NodeKind::Conv ? node.out.c : node.in.c});
         t.elems = node.in.elems();
       } else if (node.kind == NodeKind::Add) {
         t.kind = Transition::Kind::kAdd;

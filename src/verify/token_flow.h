@@ -40,6 +40,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "nn/pipeline.h"
 #include "plan/fifo_plan.h"
@@ -69,6 +70,13 @@ enum class TokenVerdict {
 };
 
 [[nodiscard]] const char* token_verdict_name(TokenVerdict v);
+
+/// Exact consume->emit profile of a window node (Conv or Pool), replayed
+/// from the kernel's own WindowScanner cursor: element j is the count of
+/// REAL input values of one image consumed when window j (raster order)
+/// completes. Padding consumes nothing, so a window whose corner is a
+/// padding position completes at a count already reached.
+[[nodiscard]] std::vector<std::int64_t> window_breakpoints(const Node& n);
 
 struct TokenFlowResult {
   TokenVerdict verdict = TokenVerdict::kUndecided;

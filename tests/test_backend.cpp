@@ -248,17 +248,19 @@ TEST(BackendSession, CancelAbortsAndSessionRecovers) {
   NetworkParams params = NetworkParams::random(p, 100);
   const std::unique_ptr<Backend> slow = make_reference_backend(200'000);
   const auto session = slow->compile(p, std::move(params));
-  std::atomic<bool> started{false};
+  std::atomic<bool> returned{false};
   std::thread canceller([&] {
-    while (!started.load()) std::this_thread::yield();
-    // The session re-arms its abort flag at run start, so wait until the
-    // (200 ms) run is clearly in flight before cancelling.
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    session->cancel();
+    // The session re-arms its abort flag at run start, so a cancel that
+    // lands before the run begins is lost: keep cancelling every
+    // millisecond until infer_batch has returned.
+    while (!returned.load()) {
+      session->cancel();
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
   });
   const auto batch = synthetic_batch(1, 12, 12, 3, 101);
-  started.store(true);
   EXPECT_THROW((void)session->infer_batch(batch), Error);
+  returned.store(true);
   canceller.join();
   // The session re-arms: a fresh (fast) run succeeds after the abort.
   const std::unique_ptr<Backend> quick = make_reference_backend(1);

@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <thread>
 
+#include "core/simd/vec_ops.h"
 #include "drive.h"
+#include "nn/reference.h"
 #include "test_util.h"
 
 namespace qnn {
@@ -240,6 +243,113 @@ TEST(PoolKernelTest, AsymmetricPaddingRegression) {
   testutil::drive(sum_kernel);
   feeder2.join();
   EXPECT_EQ(drain(sout2), expect_sum);
+}
+
+/// One pooling layer as expand() lowers it from a PoolBlockSpec.
+Pipeline pool_pipeline(Shape in, int bits, const PoolBlockSpec& block) {
+  NetworkSpec spec;
+  spec.name = "pool_eq";
+  spec.input = in;
+  spec.input_bits = bits;
+  spec.blocks.push_back(block);
+  return expand(spec);
+}
+
+/// Stream `images` back to back through a PoolKernel on one thread,
+/// handing it exactly `burst` values at a time (the chunks run across
+/// image boundaries whenever `burst` does not divide the image) and
+/// stepping it until it has consumed each chunk.
+std::vector<std::int32_t> run_pool(const Node& n,
+                                   const std::vector<IntTensor>& images,
+                                   std::size_t burst) {
+  std::vector<std::int32_t> flat;
+  for (const IntTensor& img : images) {
+    flat.insert(flat.end(), img.flat().begin(), img.flat().end());
+  }
+  Stream sin(std::max<std::size_t>(burst, 64), n.in_bits, "in");
+  Stream sout(1 << 16, n.out_bits, "out");
+  PoolKernel kernel(n, sin, sout);
+  std::vector<std::int32_t> out;
+  std::vector<std::int32_t> sink(4096);
+  std::size_t fed = 0;
+  for (;;) {
+    if (fed < flat.size()) {
+      const auto chunk = std::span<const std::int32_t>(flat).subspan(
+          fed, std::min(burst, flat.size() - fed));
+      EXPECT_EQ(sin.try_push_burst(chunk), chunk.size());
+      fed += chunk.size();
+      if (fed == flat.size()) sin.close();
+    }
+    StepResult r = StepResult::kProgress;
+    while (r == StepResult::kProgress) {
+      r = kernel.step_checked();
+      for (std::size_t got; (got = sout.try_pop_burst(sink)) > 0;) {
+        out.insert(out.end(), sink.begin(),
+                   sink.begin() + static_cast<std::ptrdiff_t>(got));
+      }
+    }
+    if (r == StepResult::kDone) return out;
+  }
+}
+
+/// Restores the process-wide SIMD selector after each test.
+class PoolEqualityTest : public ::testing::Test {
+ protected:
+  void TearDown() override { simd::set_level(std::nullopt); }
+};
+
+TEST_F(PoolEqualityTest, MatchesReferenceOnEveryGeometryBurstAndLevel) {
+  struct Case {
+    const char* name;
+    Shape in;
+    PoolBlockSpec block;
+  };
+  const PoolKind kinds[] = {PoolKind::Max, PoolKind::Avg};
+  std::vector<Case> cases;
+  for (const PoolKind kind : kinds) {
+    for (const int c : {3, 17}) {
+      cases.push_back({"resnet 3x3 s2 p1", {13, 12, c}, {kind, 3, 2, 1}});
+      cases.push_back({"alexnet 3x3 s2 p0", {13, 11, c}, {kind, 3, 2, 0}});
+      cases.push_back({"2x2 s2", {8, 10, c}, {kind, 2, 2, 0}});
+      cases.push_back({"stride > k", {11, 10, c}, {kind, 2, 3, 0}});
+      cases.push_back({"k = 1", {5, 6, c}, {kind, 1, 1, 0}});
+      cases.push_back({"k = 1 s2 p1", {5, 6, c}, {kind, 1, 2, 1}});
+      cases.push_back({"pad > k - 1", {6, 7, c}, {kind, 2, 1, 2}});
+    }
+  }
+  cases.push_back({"avgpool_46 (global 7x7x512)",
+                   {7, 7, 512},
+                   {PoolKind::Avg, 0, 1, 0, true}});
+  cases.push_back(
+      {"resnet 3x3 s2 p1, C = 64", {9, 9, 64}, {PoolKind::Max, 3, 2, 1}});
+
+  Rng rng(77);
+  for (const Case& tc : cases) {
+    const int bits = 8;
+    const Pipeline p = pool_pipeline(tc.in, bits, tc.block);
+    ASSERT_EQ(p.size(), 1);
+    const Node& n = p.node(0);
+    const NetworkParams params = NetworkParams::random(p, 1);
+    const ReferenceExecutor ref(p, params);
+    std::vector<IntTensor> images;
+    std::vector<std::int32_t> want;
+    for (int i = 0; i < 3; ++i) {
+      images.push_back(testutil::random_codes(tc.in, bits, rng));
+      const IntTensor o = ref.run(images.back());
+      want.insert(want.end(), o.flat().begin(), o.flat().end());
+    }
+    const auto row = static_cast<std::size_t>(tc.in.w) *
+                     static_cast<std::size_t>(tc.in.c);
+    for (const simd::Level level : simd::available_levels()) {
+      simd::set_level(level);
+      for (const std::size_t burst : {std::size_t{1}, std::size_t{37}, row}) {
+        EXPECT_EQ(run_pool(n, images, burst), want)
+            << tc.name << (tc.block.kind == PoolKind::Max ? " max" : " avg")
+            << ", C = " << tc.in.c << ", burst " << burst << ", "
+            << simd::level_name(level);
+      }
+    }
+  }
 }
 
 TEST(BnActKernelTest, PerChannelThresholdsInDepthFirstOrder) {

@@ -368,6 +368,51 @@ FifoPlan with_skip_capacity(const Pipeline& p, int add, std::size_t cap) {
 constexpr int kForkFedAdd = 6;
 constexpr int kReconvergentAdd = 12;
 
+TEST(TokenFlow, WindowBreakpointsMatchPerPositionReplay) {
+  // window_breakpoints drives the kernels' run-granular WindowScanner; it
+  // must reproduce, window by window, the real-input count of a
+  // brute-force replay of every padded position, on every window node of
+  // every zoo network (the paper networks at full size).
+  const NetworkSpec specs[] = {
+      models::tiny(12, 4, 2),        models::vgg_like(32, 10, 2),
+      models::vgg_like(144, 10, 2),  models::finn_cnv(10, 2),
+      models::resnet18(224, 1000, 2), models::resnet18_noskip(32, 10, 2),
+      models::resnet34(32, 10, 2),   models::alexnet(224, 1000, 2),
+  };
+  int nodes = 0;
+  for (const NetworkSpec& spec : specs) {
+    const Pipeline p = expand(spec);
+    for (const Node& n : p.nodes) {
+      if (!n.is_window_op()) continue;
+      ++nodes;
+      const int oh = conv_out_extent(n.in.h, n.k, n.stride, n.pad);
+      const int ow = conv_out_extent(n.in.w, n.k, n.stride, n.pad);
+      std::vector<std::int64_t> replay;
+      std::int64_t consumed = 0;
+      for (int y = 0; y < n.in.h + 2 * n.pad; ++y) {
+        const bool real_row = y >= n.pad && y < n.pad + n.in.h;
+        const int ry = y - (n.k - 1);
+        const bool corner_row =
+            ry >= 0 && ry % n.stride == 0 && ry / n.stride < oh;
+        for (int x = 0; x < n.in.w + 2 * n.pad; ++x) {
+          // Every channel of a real pixel is consumed before its last
+          // channel completes the window.
+          if (real_row && x >= n.pad && x < n.pad + n.in.w) {
+            consumed += n.in.c;
+          }
+          const int rx = x - (n.k - 1);
+          if (corner_row && rx >= 0 && rx % n.stride == 0 &&
+              rx / n.stride < ow) {
+            replay.push_back(consumed);
+          }
+        }
+      }
+      EXPECT_EQ(window_breakpoints(n), replay) << spec.name << " " << n.name;
+    }
+  }
+  EXPECT_GT(nodes, 50);
+}
+
 TEST(TokenFlow, BelowBoundSkipFifoIsProvedFeasibleExactly) {
   // 160 values is far below the 288-value feature-map bound that used to
   // be a hard D301 error, yet covers the regular path's true lag: the

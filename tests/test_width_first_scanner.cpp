@@ -55,17 +55,24 @@ TEST_P(WidthFirstSweep, ProducesSameWindowsAsDepthFirst) {
   Rng rng(2000 + static_cast<std::uint64_t>(g.h * 7 + g.c));
   const IntTensor in = testutil::random_codes(in_shape, 4, rng);
 
-  // Depth-first baseline.
-  WindowScanner df(in_shape, g.k, g.stride, g.pad);
+  // Depth-first baseline: each window gathered from the padded tensor in
+  // the depth-first (dy, dx, ci) layout, in raster order of positions.
   std::vector<std::vector<std::int32_t>> df_windows;
-  std::int64_t next = 0;
-  while (!df.done()) {
-    const std::int32_t v = df.next_is_padding() ? 0 : in[next++];
-    const auto completed = df.advance(v);
-    if (completed) {
-      std::vector<std::int32_t> w(
-          static_cast<std::size_t>(df.window_values()));
-      df.window(*completed, w);
+  const int oh = conv_out_extent(g.h, g.k, g.stride, g.pad);
+  const int ow = conv_out_extent(g.w, g.k, g.stride, g.pad);
+  for (int oy = 0; oy < oh; ++oy) {
+    for (int ox = 0; ox < ow; ++ox) {
+      std::vector<std::int32_t> w;
+      for (int dy = 0; dy < g.k; ++dy) {
+        for (int dx = 0; dx < g.k; ++dx) {
+          const int iy = oy * g.stride + dy - g.pad;
+          const int ix = ox * g.stride + dx - g.pad;
+          const bool in_map = iy >= 0 && iy < g.h && ix >= 0 && ix < g.w;
+          for (int ci = 0; ci < g.c; ++ci) {
+            w.push_back(in_map ? in.at(iy, ix, ci) : 0);
+          }
+        }
+      }
       df_windows.push_back(std::move(w));
     }
   }

@@ -41,6 +41,12 @@ KERNEL_FLOORS = {
 # Live geomean of packed+SIMD over packed at scalar dispatch on the three
 # mid-network cells: 0.7x the same recording's 4.91x.
 KERNEL_SIMD_BAR = 3.4
+# Pool kernel: median ms per image on ResNet-18's maxpool_2 geometry
+# (112x112x64, k3 s2 p1, 2-bit codes), single kernel, one thread, held to
+# a ceiling (lower is better). The row-streaming kernel's recording read
+# 1.65 ms (runs 1.15-1.69); the per-value scanner ring and window gather
+# it replaced took 15.5-17.0 ms on the same geometry and host.
+POOL_CEILINGS_MS = {"resnet18_maxpool_2": 3.0}
 
 
 def fail(msg):
@@ -79,7 +85,16 @@ def gate_kernels(docs):
               f"bar {KERNEL_SIMD_BAR:.2f}x")
         if ratio < KERNEL_SIMD_BAR:
             fail(f"{name} SIMD conv speedup over scalar dispatch below bar")
-    print("perf gate: packed conv datapath holds its floors")
+        pools = {c["name"]: c for c in doc.get("pool_cells", [])}
+        for cell, ceiling in POOL_CEILINGS_MS.items():
+            if cell not in pools:
+                fail(f"{name} BENCH_kernels.json has no {cell!r} pool cell")
+            ms = pools[cell]["ms_per_image"]
+            print(f"pool {cell} ({name}): {ms:.2f} ms/image, "
+                  f"ceiling {ceiling:.2f}")
+            if ms > ceiling:
+                fail(f"{name} pool kernel {cell} above its ceiling")
+    print("perf gate: packed conv datapath and pool kernel hold their bars")
 
 
 def gate_autotune(docs):

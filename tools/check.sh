@@ -19,7 +19,9 @@
 #                                   # floors on the executor's shallow
 #                                   # and deep chains and on packed+SIMD
 #                                   # conv per cell, the live
-#                                   # SIMD-vs-scalar conv ratio, the
+#                                   # SIMD-vs-scalar conv ratio, a
+#                                   # ms/image ceiling on the pool
+#                                   # kernel (ResNet-18 maxpool_2), the
 #                                   # mixed-pool serving ablation
 #                                   # (deadline routing >= 1.3x naive
 #                                   # on tight goodput), the
@@ -102,7 +104,7 @@ if [ -n "$PERF" ]; then
   python3 tools/bench_gate.py executor \
     "$BUILD_DIR/BENCH_executor.json" BENCH_executor.json
 
-  echo "== perf (conv datapath: per-cell floors, SIMD-vs-scalar bar) =="
+  echo "== perf (conv datapath: per-cell floors, SIMD-vs-scalar bar; pool ceiling) =="
   QNN_CSV_DIR="$BUILD_DIR" \
     "$BUILD_DIR/bench/bench_micro_kernels" --conv-datapath-only
   python3 tools/bench_gate.py kernels \
